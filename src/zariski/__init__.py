@@ -13,12 +13,11 @@ Submodules:
 * ``finite``   -- exhaustive oracles on small finite groups;
 * ``cli``      -- seeded, reproducible experiment runner.
 
-The hot permutation kernels run from a compiled extension when available;
-``zariski.backend_name()`` reports which implementation is active.
+Everything is plain Python: permutations are dicts of moved points, and
+the few loops that work on those dicts directly live beside their callers
+(``perm``, ``ragged`` and ``witness``).
 """
-
-from zariski._backend import backend_name
 
 __version__ = "0.1.0"
 
-__all__ = ["backend_name", "__version__"]
+__all__ = ["__version__"]

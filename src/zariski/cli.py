@@ -19,7 +19,6 @@ import sys
 import time
 from random import Random
 
-from zariski import backend_name
 from zariski.errors import (EmptyInput, InvalidAdjuster, TooLarge,
                             UnknownGroup, ZariskiError)
 from zariski.groups import SYM
@@ -54,6 +53,21 @@ class ParseFailure(Exception):
     pass
 
 
+def _load_pair(path: str) -> MatrixPair:
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ParseFailure(f'{path}: a matrix pair is a JSON object with '
+                           f'keys "A" and "B", not a {type(data).__name__}')
+    missing = [k for k in ("A", "B") if k not in data]
+    if missing:
+        raise ParseFailure(f"{path}: the matrix pair has no key "
+                           + " or ".join(f'"{k}"' for k in missing))
+    try:
+        return pair_from_json(data)
+    except (TypeError, ValueError) as exc:
+        raise ParseFailure(f"{path}: malformed matrix pair: {exc}") from exc
+
+
 def _config(args, keys) -> dict:
     return {k: getattr(args, k.replace("-", "_")) for k in keys}
 
@@ -62,7 +76,6 @@ def _report(command: str, config: dict, cases: list) -> dict:
     failed = sum(1 for c in cases if not c.get("pass", True))
     return {
         "command": command,
-        "backend": backend_name(),
         "config": config,
         "cases": cases,
         "summary": {"cases": len(cases), "pass": len(cases) - failed,
@@ -115,7 +128,7 @@ def _normalize_case(pair: MatrixPair, rng: Random, samples: int,
 
 
 def cmd_normalize(args) -> dict:
-    pair = pair_from_json(_load_json(args.input))
+    pair = _load_pair(args.input)
     rng = Random(args.seed)
     case = _normalize_case(pair, rng, args.cases, args.support)
     return _report("normalize",
@@ -170,7 +183,7 @@ def _run_witness(args, command: str, arity: int) -> dict:
         if len(paths) != arity:
             raise ParseFailure(f"{command} needs {arity} input file(s) "
                                "or --random")
-        pairs = [pair_from_json(_load_json(p)) for p in paths]
+        pairs = [_load_pair(p) for p in paths]
         cases.append(_witness_case(pairs))
     return _report(command,
                    _config(args, ["seed", "cases", "rows", "max-degree",
@@ -336,8 +349,7 @@ def cmd_finite_check(args) -> dict:
 # --- rendering ---------------------------------------------------------------
 
 def _render_table(report: dict) -> str:
-    lines = [f"command: {report['command']}",
-             f"backend: {report['backend']}"]
+    lines = [f"command: {report['command']}"]
     cfg = " ".join(f"{k}={v}" for k, v in sorted(report["config"].items()))
     lines.append(f"config: {cfg}")
     for i, case in enumerate(report["cases"]):
@@ -365,6 +377,18 @@ def _emit(report: dict, args) -> None:
 
 
 # --- parser ------------------------------------------------------------------
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
 
 def _add_common(sub, cases_default: int):
     sub.add_argument("--seed", type=int, default=0,
@@ -398,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--random", action="store_true",
                        help="generate random normalized pairs instead")
         _add_common(p, 100)
-        p.add_argument("--rows", type=int, default=3)
-        p.add_argument("--max-degree", type=int, default=3)
+        p.add_argument("--rows", type=_at_least(1), default=3)
+        p.add_argument("--max-degree", type=_at_least(1), default=3)
         p.add_argument("--support", type=int, default=8)
         p.set_defaults(func=cmd_witness if arity == 1 else cmd_intersect)
 
@@ -414,13 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("symcheck",
                         help="stabilizer and decomposition checks on Sym")
     _add_common(p, 500)
-    p.add_argument("--support", type=int, default=8)
+    # the decompositions draw base points from {0..4}, and a permutation
+    # of {0..support-1} must be able to move each of them
+    p.add_argument("--support", type=_at_least(5), default=8)
     p.set_defaults(func=cmd_symcheck)
 
     p = subs.add_parser("finite-check",
                         help="exhaustive family checks on a finite group")
     p.add_argument("--group", required=True)
-    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--max-degree", type=_at_least(0), default=2)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_finite_check)

@@ -44,5 +44,9 @@ class CarrierMismatch(ZariskiError):
     """Set families live on carriers of different sizes."""
 
 
+class InfeasibleBounds(ZariskiError):
+    """A sampler was asked for objects its bounds can never produce."""
+
+
 class EmptyInput(ZariskiError):
     """The basic open set normalizes to Empty, so no witness exists."""

@@ -2,12 +2,30 @@
 
 Composition is left to right throughout the package: ``(x)(p * q) = ((x)p)q``.
 Only moved points are stored, so two permutations are equal exactly when
-their stored maps are equal, and the identity is the empty map.
+their stored maps are equal, and the identity is the empty map.  The
+moved-point dict is also the format the hot loops elsewhere in the package
+work on directly; ``compose_maps`` and ``invert_map`` are its arithmetic.
 """
 
 from __future__ import annotations
 
-from zariski._backend import kernels
+
+def compose_maps(p: dict, q: dict) -> dict:
+    """Compose two moved-point dicts left to right, x -> q(p(x)), pruning
+    fixed points."""
+    r = {}
+    for x, y in p.items():
+        z = q.get(y, y)
+        if z != x:
+            r[x] = z
+    for x, y in q.items():
+        if x not in p:
+            r[x] = y
+    return r
+
+
+def invert_map(p: dict) -> dict:
+    return {y: x for x, y in p.items()}
 
 
 class FinPermutation:
@@ -57,10 +75,10 @@ class FinPermutation:
     def __mul__(self, other: "FinPermutation") -> "FinPermutation":
         if not isinstance(other, FinPermutation):
             return NotImplemented
-        return FinPermutation._trusted(kernels.compose_maps(self._map, other._map))
+        return FinPermutation._trusted(compose_maps(self._map, other._map))
 
     def inv(self) -> "FinPermutation":
-        return FinPermutation._trusted(kernels.invert_map(self._map))
+        return FinPermutation._trusted(invert_map(self._map))
 
     def support(self) -> frozenset:
         return frozenset(self._map)

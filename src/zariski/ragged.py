@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from zariski._backend import kernels
 from zariski.errors import InvalidAdjuster
 from zariski.groups import Monoid, SymOmega
-from zariski.perm import FinPermutation
+from zariski.perm import FinPermutation, compose_maps
 from zariski.words import SemigroupWord, eval_semigroup
 
 
@@ -74,12 +73,29 @@ def row_eval(R: RaggedMatrix, i: int, x, G: Monoid):
     return eval_semigroup(SemigroupWord(R.rows[i]), x, G)
 
 
+def eval_word_maps(coeffs, x: dict) -> dict:
+    """Value of the word c0 * x * c1 * ... * x * cn on moved-point dicts."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = compose_maps(acc, x)
+        acc = compose_maps(acc, c)
+    return acc
+
+
+def rows_all_differ(rows_a, rows_b, x: dict) -> bool:
+    """True iff the evaluations of paired rows differ in every coordinate."""
+    for ra, rb in zip(rows_a, rows_b):
+        if eval_word_maps(ra, x) == eval_word_maps(rb, x):
+            return False
+    return True
+
+
 def membership(P: MatrixPair, x, G: Monoid) -> bool:
     """Is x in N_{A,B}, i.e. do all paired row evaluations differ?"""
     if isinstance(G, SymOmega):
         ra = [[c._map for c in row] for row in P.A.rows]
         rb = [[c._map for c in row] for row in P.B.rows]
-        return kernels.rows_all_differ(ra, rb, x._map)
+        return rows_all_differ(ra, rb, x._map)
     return all(row_eval(P.A, i, x, G) != row_eval(P.B, i, x, G)
                for i in range(P.num_rows))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from random import Random
 
+from zariski.errors import InfeasibleBounds
 from zariski.groups import SYM
 from zariski.perm import FinPermutation, transposition
 from zariski.ragged import MatrixPair, normalize, pair_of_rows
@@ -42,7 +43,15 @@ def rand_pair(rng: Random, max_rows: int, max_degree: int,
 
 def rand_proper_pair(rng: Random, max_rows: int, max_degree: int,
                      support: int, adjuster=DEFAULT_ADJUSTER) -> MatrixPair:
-    """Keep sampling random pairs until one normalizes to a proper form."""
+    """Keep sampling random pairs until one normalizes to a proper form.
+
+    A proper form needs at least one row of positive degree, so bounds
+    below one row or below degree one are rejected up front.
+    """
+    if max_rows < 1 or max_degree < 1:
+        raise InfeasibleBounds(
+            f"no proper pair has at most {max_rows} row(s) of degree at "
+            f"most {max_degree}; both bounds must be at least 1")
     while True:
         form = normalize(rand_pair(rng, max_rows, max_degree, support),
                          SYM, adjuster)

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from zariski._backend import kernels
 from zariski.errors import NotNormalized, OracleExhausted
-from zariski.perm import FinPermutation, PartialBijection, extend
+from zariski.perm import (FinPermutation, PartialBijection, compose_maps,
+                          extend, invert_map)
 from zariski.ragged import MatrixPair, stack
 
 
@@ -46,8 +46,22 @@ def _entries(P: MatrixPair) -> tuple:
 
 
 def _seven_parts(entries) -> tuple:
-    return tuple(FinPermutation._trusted(m) for m in
-                 kernels.seven_parts([c._map for c in entries]))
+    """{1} u C u C^-1 u CC u CC^-1 u C^-1C u C^-1C^-1 for the entry set C,
+    deduplicated and sorted by canonical pair encoding."""
+    c = [e._map for e in entries]
+    cinv = [invert_map(m) for m in c]
+    seen = {(): {}}
+    for m in c + cinv:
+        seen[tuple(sorted(m.items()))] = m
+    for left in (c, cinv):
+        for right in (c, cinv):
+            for p in left:
+                for q in right:
+                    r = compose_maps(p, q)
+                    key = tuple(sorted(r.items()))
+                    if key not in seen:
+                        seen[key] = r
+    return tuple(FinPermutation._trusted(seen[k]) for k in sorted(seen))
 
 
 def forbidden_set(P: MatrixPair) -> frozenset:
@@ -161,12 +175,12 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
     seps = pick_separators(P)
     entries = _entries(P)
     cmaps = [c._map for c in entries]
-    moves = cmaps + [kernels.invert_map(m) for m in cmaps]
+    moves = cmaps + [invert_map(m) for m in cmaps]
     # Every part of the forbidden set fixes each point outside the support
     # S of the entries, and (t)(fg) = ((t)f)g, so the translates of s in S
     # are the points reachable from s in at most two steps under C u C^-1.
     support = set().union(*cmaps)
-    one_step = {s: kernels.translate_points({s}, moves) for s in support}
+    one_step = {s: {m.get(s, s) for m in moves} for s in support}
     reach = {s: set().union({s}, nb, *(one_step[t] for t in nb))
              for s, nb in one_step.items()}
 

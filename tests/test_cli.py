@@ -1,12 +1,21 @@
 """CLI: exit codes, report shape, determinism, error handling."""
 
 import json
+import os
+import subprocess
+import sys
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zariski.cli import main
+from zariski.errors import ZariskiError
 from zariski.perm import IDENTITY, transposition
 from zariski.ragged import pair_of_rows, pair_to_json
+from zariski.randgen import rand_proper_pair
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 T01 = transposition(0, 1)
 COMMUTE = pair_of_rows([[T01, IDENTITY]], [[IDENTITY, T01]])
@@ -50,6 +59,8 @@ def test_witness_file_input(tmp_path):
     path = write_pair(tmp_path, COMMUTE)
     code, report = run_json(tmp_path, ["witness", path])
     assert code == 0
+    assert sorted(report) == ["cases", "command", "config", "summary",
+                              "wall_time_s"]
     case = report["cases"][0]
     assert case["membership"] and case["pass"]
     assert case["witness"] == [[0, 3], [1, 2], [2, 1], [3, 0]]
@@ -125,14 +136,65 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert main(["normalize", str(bad)]) == 2
     assert main(["witness", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    for data, problem in (
+            ([1, 2], "not a list"),
+            ({"A": [[[[0, 1], [1, 0]]]]}, 'no key "B"'),
+            ({"A": [[[[0, 1]], []]], "B": [[[], []]]},
+             "moved points must map onto themselves")):
+        bad.write_text(json.dumps(data))
+        assert main(["normalize", str(bad)]) == 2
+        assert problem in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.integers(min_value=-1, max_value=4),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(["A", "B"]),
+                                        children)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=JSON_VALUES)
+def test_normalize_never_raises_on_arbitrary_json(tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz_pair.json"
+    path.write_text(json.dumps(data))
+    code = main(["normalize", str(path), "--cases", "1",
+                 "--out", str(base / "fuzz_report.json")])
+    assert code in (0, 1, 2)
 
 
 def test_usage_error_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["witness", "--format", "yaml"])
-    assert exc.value.code == 2
+    for argv in (["witness", "--format", "yaml"],
+                 ["witness", "--random", "--rows", "0"],
+                 ["finite-check", "--group", "S3", "--max-degree", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     assert main(["witness"]) == 2  # no input and no --random
-    capsys.readouterr()
+    assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--random", "--max-degree", "0"],
+    ["symcheck", "--support", "3"],
+    ["symcheck", "--support", "4"],
+])
+def test_former_hangs_exit_2(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "zariski.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert "must be at least" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_sampler_rejects_infeasible_bounds():
+    for rows, degree in ((0, 3), (3, 0)):
+        with pytest.raises(ZariskiError):
+            rand_proper_pair(Random(0), rows, degree, 8)
 
 
 def strip_wall_time(text):
@@ -155,3 +217,4 @@ def test_table_format(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.startswith("command: witness")
     assert "summary: 1/1 pass" in text
+    assert "backend:" not in text
