@@ -224,6 +224,9 @@ def _separate_case(a, p, m, bound_n) -> dict:
 def cmd_separate(args) -> dict:
     if args.m_min < 2:
         raise ParseFailure("--m-min must be at least 2")
+    if args.m_max < args.m_min:
+        raise ParseFailure(f"--m-max ({args.m_max}) must be at least "
+                           f"--m-min ({args.m_min})")
     rng = Random(args.seed)
     cases = []
     for m in range(args.m_min, args.m_max + 1):
@@ -393,7 +396,7 @@ def _at_least(low: int):
 def _add_common(sub, cases_default: int):
     sub.add_argument("--seed", type=int, default=0,
                      help="64-bit unsigned seed for all randomness")
-    sub.add_argument("--cases", type=int, default=cases_default,
+    sub.add_argument("--cases", type=_at_least(0), default=cases_default,
                      help="number of random cases / samples")
     sub.add_argument("--format", choices=("json", "table"), default="json")
     sub.add_argument("--out", default=None, help="write the report to a file")
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("normalize", help="normalize a ragged matrix pair")
     p.add_argument("input", help="matrix-pair JSON file ('-' for stdin)")
     _add_common(p, 200)
-    p.add_argument("--support", type=int, default=8)
+    p.add_argument("--support", type=_at_least(0), default=8)
     p.set_defaults(func=cmd_normalize)
 
     for name, arity, helptext in (
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, 100)
         p.add_argument("--rows", type=_at_least(1), default=3)
         p.add_argument("--max-degree", type=_at_least(1), default=3)
-        p.add_argument("--support", type=int, default=8)
+        p.add_argument("--support", type=_at_least(0), default=8)
         p.set_defaults(func=cmd_witness if arity == 1 else cmd_intersect)
 
     p = subs.add_parser("separate",
@@ -432,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, 100)
     p.add_argument("--m-min", type=int, default=2)
     p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--bound-N", type=int, default=200, dest="bound_N")
+    p.add_argument("--bound-N", type=_at_least(0), default=200, dest="bound_N")
     p.set_defaults(func=cmd_separate)
 
     p = subs.add_parser("symcheck",

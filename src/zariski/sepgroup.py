@@ -5,8 +5,9 @@ experiment.
 The group is a direct sum over k of quotients of the free abelian group on
 generators x0, x1, ...: in the k-th component every even-indexed generator
 is killed to order k (no relation for k = 0), odd-indexed generators stay
-free.  Normal form stores, per component, a finitely supported exponent
-vector with even-index exponents reduced into [0, k).
+free.  An element is stored as one normal-form map (k, n) -> e, the
+exponent of generator n in component k: even-index exponents are reduced
+into [0, k) for k >= 1, and zero exponents are dropped.
 
 The test sets T_m consist of the elements supported on component m alone
 and equal there to a single generator coset.  On T_m, an inequation
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 
 def _reduce(k: int, n: int, e: int) -> int:
@@ -29,205 +31,84 @@ def _reduce(k: int, n: int, e: int) -> int:
     return e
 
 
-class FreeAbelianWord:
-    """Finitely supported exponent vector over the free generators."""
+class GElement:
+    """Element of the direct sum, as its normal-form map (k, n) -> e.
+
+    Build one with ``g_element``; the constructor takes the map as given.
+    """
 
     __slots__ = ("_exp",)
 
-    def __init__(self, exponents=()):
-        exp = dict(exponents)
-        if any(n < 0 for n in exp):
-            raise ValueError("generator indices must be non-negative")
-        self._exp = {n: e for n, e in exp.items() if e != 0}
-
-    def exponents(self) -> dict:
-        return dict(self._exp)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeAbelianWord) and self._exp == other._exp
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._exp.items()))
-
-    def __repr__(self) -> str:
-        return f"FreeAbelianWord({self._exp!r})"
-
-
-class GkElement:
-    """Normal form in the k-th quotient component."""
-
-    __slots__ = ("k", "_exp")
-
-    def __init__(self, k: int, exponents=()):
-        if k < 0:
-            raise ValueError("component index must be non-negative")
-        self.k = k
-        exp = {}
-        for n, e in dict(exponents).items():
-            if n < 0:
-                raise ValueError("generator indices must be non-negative")
-            e = _reduce(k, n, e)
-            if e != 0:
-                exp[n] = e
+    def __init__(self, exp: dict):
         self._exp = exp
-
-    @classmethod
-    def _trusted(cls, k: int, exp: dict) -> "GkElement":
-        g = object.__new__(cls)
-        g.k = k
-        g._exp = exp
-        return g
-
-    def exponents(self) -> dict:
-        return dict(self._exp)
 
     def is_identity(self) -> bool:
         return not self._exp
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GkElement) and self.k == other.k
-                and self._exp == other._exp)
+        return isinstance(other, GElement) and self._exp == other._exp
 
     def __hash__(self) -> int:
-        return hash((self.k, frozenset(self._exp.items())))
+        return hash(frozenset(self._exp.items()))
 
     def __repr__(self) -> str:
-        return f"GkElement(k={self.k}, {self._exp!r})"
-
-
-def gk_normalize(k: int, w: FreeAbelianWord) -> GkElement:
-    """Project a free word into the k-th component's normal form."""
-    return GkElement(k, w.exponents())
-
-
-class GElement:
-    """Element of the direct sum: finitely many non-identity components."""
-
-    __slots__ = ("_comps",)
-
-    def __init__(self, components=()):
-        comps = {}
-        for k, g in dict(components).items():
-            if not isinstance(g, GkElement):
-                raise TypeError("components must be GkElement values")
-            if g.k != k:
-                raise ValueError(f"component {k} holds a GkElement for {g.k}")
-            if not g.is_identity():
-                comps[k] = g
-        self._comps = comps
-
-    @classmethod
-    def _trusted(cls, comps: dict) -> "GElement":
-        u = object.__new__(cls)
-        u._comps = comps
-        return u
-
-    def components(self) -> dict:
-        return dict(self._comps)
-
-    def component(self, k: int) -> GkElement:
-        return self._comps.get(k, GkElement(k))
-
-    def is_identity(self) -> bool:
-        return not self._comps
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GElement) and self._comps == other._comps
-
-    def __hash__(self) -> int:
-        return hash(frozenset((k, g) for k, g in self._comps.items()))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {g._exp!r}" for k, g in sorted(self._comps.items()))
-        return f"GElement({{{body}}})"
+        return f"GElement({dict(sorted(self._exp.items()))!r})"
 
 
 def g_identity() -> GElement:
-    return GElement()
+    return GElement({})
 
 
 def g_element(spec) -> GElement:
     """Build from {k: {n: e}} plain dicts, normalizing everything."""
-    return GElement({k: GkElement(k, exp) for k, exp in dict(spec).items()})
+    exp = {}
+    for k, exponents in dict(spec).items():
+        if k < 0:
+            raise ValueError("component index must be non-negative")
+        for n, e in dict(exponents).items():
+            if n < 0:
+                raise ValueError("generator indices must be non-negative")
+            e = _reduce(k, n, e)
+            if e != 0:
+                exp[k, n] = e
+    return GElement(exp)
+
+
+def _mul_pow(a: GElement, x: GElement, p: int) -> GElement:
+    """The value a * x^p in normal form, for any integer p."""
+    exp = dict(a._exp)
+    for kn, e in x._exp.items():
+        s = _reduce(kn[0], kn[1], exp.get(kn, 0) + p * e)
+        if s == 0:
+            exp.pop(kn, None)
+        else:
+            exp[kn] = s
+    return GElement(exp)
 
 
 def g_mul(u: GElement, v: GElement) -> GElement:
-    comps = dict(u._comps)
-    for k, gv in v._comps.items():
-        gu = comps.get(k)
-        if gu is None:
-            comps[k] = gv
-            continue
-        exp = dict(gu._exp)
-        for n, e in gv._exp.items():
-            s = _reduce(k, n, exp.get(n, 0) + e)
-            if s == 0:
-                exp.pop(n, None)
-            else:
-                exp[n] = s
-        if exp:
-            comps[k] = GkElement._trusted(k, exp)
-        else:
-            del comps[k]
-    return GElement._trusted(comps)
+    return _mul_pow(u, v, 1)
 
 
 def g_inv(u: GElement) -> GElement:
-    comps = {}
-    for k, g in u._comps.items():
-        exp = {}
-        for n, e in g._exp.items():
-            e = _reduce(k, n, -e)
-            if e != 0:
-                exp[n] = e
-        if exp:
-            comps[k] = GkElement._trusted(k, exp)
-    return GElement._trusted(comps)
-
-
-def g_eq(u: GElement, v: GElement) -> bool:
-    return u == v
+    return _mul_pow(g_identity(), u, -1)
 
 
 def eval_ax_p(a: GElement, p: int, x: GElement) -> GElement:
     """The value a * x^p in normal form (p >= 0)."""
     if p < 0:
         raise ValueError("exponent must be non-negative")
-    if p == 0:
-        return a
-    comps = dict(a._comps)
-    for k, gx in x._comps.items():
-        ga = comps.get(k)
-        exp = dict(ga._exp) if ga is not None else {}
-        for n, e in gx._exp.items():
-            s = _reduce(k, n, exp.get(n, 0) + p * e)
-            if s == 0:
-                exp.pop(n, None)
-            else:
-                exp[n] = s
-        if exp:
-            comps[k] = GkElement._trusted(k, exp)
-        else:
-            comps.pop(k, None)
-    return GElement._trusted(comps)
+    return _mul_pow(a, x, p)
 
 
-@dataclass(frozen=True)
-class TmPoint:
+def tm_point(m: int, n: int) -> GElement:
     """The element of T_m equal to the n-th generator coset at component m
     and trivial elsewhere."""
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("T_m is defined for m >= 1")
-        if self.n < 0:
-            raise ValueError("generator index must be non-negative")
-
-    def element(self) -> GElement:
-        return GElement({self.m: GkElement(self.m, {self.n: 1})})
+    if m < 1:
+        raise ValueError("T_m is defined for m >= 1")
+    if n < 0:
+        raise ValueError("generator index must be non-negative")
+    return g_element({m: {n: 1}})
 
 
 @dataclass(frozen=True)
@@ -249,10 +130,10 @@ def finiteness_bound(a: GElement, p: int, m: int):
     that can possibly solve a * x^p = 1 on T_m."""
     if m < 1 or p < 1:
         raise ValueError("need m >= 1 and p >= 1")
-    h = a.component(m)
-    if p % m == 0 and h.is_identity():
+    h = frozenset(n for k, n in a._exp if k == m)
+    if p % m == 0 and not h:
         return AllEven()
-    return FiniteCandidates(frozenset(h.exponents()))
+    return FiniteCandidates(h)
 
 
 def solve_on_Tm(a: GElement, p: int, m: int, bound: int) -> frozenset:
@@ -264,16 +145,13 @@ def solve_on_Tm(a: GElement, p: int, m: int, bound: int) -> frozenset:
     """
     if m < 1 or p < 1:
         raise ValueError("need m >= 1 and p >= 1")
-    if any(k != m for k in a._comps):
+    if any(k != m for k, _ in a._exp) or len(a._exp) > 1:
         return frozenset()
-    h = a.component(m).exponents()
-    if len(h) > 1:
-        return frozenset()
-    if not h:
+    if not a._exp:
         if p % m == 0:
             return frozenset(range(0, bound + 1, 2))
         return frozenset()
-    (j, e), = h.items()
+    ((_, j), e), = a._exp.items()
     if j > bound:
         return frozenset()
     if j % 2 == 1:
@@ -294,7 +172,7 @@ def brute_solve_on_Tm(a: GElement, p: int, m: int, bound: int) -> frozenset:
 def _tm_points(m: int, bound: int) -> tuple:
     """The T_m points with index 0..bound, built once per (m, bound)
     rather than once per call of the enumeration oracle."""
-    return tuple(TmPoint(m, n).element() for n in range(bound + 1))
+    return tuple(tm_point(m, n) for n in range(bound + 1))
 
 
 def commutative_reduce(a: GElement, n: int) -> tuple:
@@ -306,8 +184,9 @@ def commutative_reduce(a: GElement, n: int) -> tuple:
 
 
 def g_to_json(u: GElement) -> dict:
-    return {"components": [[k, sorted([n, e] for n, e in g._exp.items())]
-                           for k, g in sorted(u._comps.items())]}
+    by_k = groupby(sorted(u._exp.items()), key=lambda item: item[0][0])
+    return {"components": [[k, [[n, e] for (_, n), e in items]]
+                           for k, items in by_k]}
 
 
 def g_from_json(data) -> GElement:

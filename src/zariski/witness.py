@@ -8,8 +8,7 @@ element.  The completed element lies in N_{A,B}; stacking two pairs first
 therefore produces a point in the intersection of two arbitrary nonempty
 basic open sets.
 
-The group enters only through a small oracle interface (extendability of
-finite partial bijections and choice of fresh image points), so the loop
+The group enters only through a small oracle interface, so the loop
 itself is group-agnostic; the shipped oracle models the finitary symmetric
 group on N.
 """
@@ -115,9 +114,6 @@ class SymOmegaOracle:
     simply the smallest natural avoiding the forbidden set and the image of
     the map built so far.
     """
-
-    def extendable(self, b: PartialBijection) -> bool:
-        return True
 
     def choose_image(self, b: PartialBijection, q: int, forbidden) -> int:
         banned = set(forbidden)

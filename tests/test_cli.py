@@ -79,6 +79,10 @@ def test_witness_random(tmp_path):
         tmp_path, ["witness", "--random", "--cases", "25", "--seed", "9"])
     assert code == 0
     assert report["summary"] == {"cases": 25, "pass": 25, "fail": 0}
+    # zero cases is a valid request: an empty report that passes
+    code, report = run_json(tmp_path, ["witness", "--random", "--cases", "0"])
+    assert code == 0
+    assert report["summary"] == {"cases": 0, "pass": 0, "fail": 0}
 
 
 def test_intersect(tmp_path):
@@ -168,11 +172,15 @@ def test_normalize_never_raises_on_arbitrary_json(tmp_path_factory, data):
 def test_usage_error_exits_2(tmp_path, capsys):
     for argv in (["witness", "--format", "yaml"],
                  ["witness", "--random", "--rows", "0"],
+                 ["witness", "--random", "--cases", "-1"],
+                 ["separate", "--bound-N", "-1"],
+                 ["intersect", "--random", "--support", "-2"],
                  ["finite-check", "--group", "S3", "--max-degree", "-1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
     assert main(["witness"]) == 2  # no input and no --random
+    assert main(["separate", "--m-min", "5", "--m-max", "2"]) == 2
     assert "must be at least" in capsys.readouterr().err
 
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zariski.errors import InvalidAdjuster
 from zariski.groups import NAT_PLUS, SYM
@@ -124,6 +125,18 @@ def test_normalize_preserves_membership():
         for _ in range(100):
             x = rand_perm(rng, 8)
             assert membership(P, x, SYM) == normal_membership(form, x, SYM)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3),
+       degree=st.integers(0, 4), support=st.integers(0, 8))
+def test_normalize_membership_property(seed, rows, degree, support):
+    rng = random.Random(seed)
+    P = rand_pair(rng, rows, degree, support)
+    form = normalize(P, SYM, DEFAULT_ADJUSTER)
+    for _ in range(20):
+        x = rand_perm(rng, support)
+        assert membership(P, x, SYM) == normal_membership(form, x, SYM)
 
 
 def test_normalize_step_signatures():

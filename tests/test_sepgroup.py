@@ -3,28 +3,36 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zariski.randgen import rand_gelement
-from zariski.sepgroup import (AllEven, FiniteCandidates, FreeAbelianWord,
-                              GElement, GkElement, TmPoint, brute_solve_on_Tm,
+from zariski.sepgroup import (AllEven, FiniteCandidates, brute_solve_on_Tm,
                               commutative_reduce, eval_ax_p, finiteness_bound,
-                              g_element, g_eq, g_from_json, g_identity, g_inv,
-                              g_mul, g_to_json, gk_normalize, solve_on_Tm)
+                              g_element, g_from_json, g_identity, g_inv,
+                              g_mul, g_to_json, solve_on_Tm, tm_point)
 
 
-def test_gk_normalize_examples():
-    w = FreeAbelianWord({0: 4, 1: 2})
-    assert gk_normalize(3, w).exponents() == {0: 1, 1: 2}
-    w = FreeAbelianWord({2: 5, 3: 1})
-    assert gk_normalize(1, w).exponents() == {3: 1}  # even generators die
-    w = FreeAbelianWord({0: 7, 5: -2})
-    assert gk_normalize(0, w).exponents() == {0: 7, 5: -2}  # no reduction
+def _component(k, exponents):
+    """The JSON of the element supported on component k alone."""
+    return g_to_json(g_element({k: exponents}))["components"]
 
 
-def test_gk_even_exponents_in_range():
-    g = GkElement(4, {0: -1, 2: 9, 1: -3})
-    assert g.exponents() == {0: 3, 2: 1, 1: -3}
+def test_normal_form_examples():
+    assert _component(3, {0: 4, 1: 2}) == [[3, [[0, 1], [1, 2]]]]
+    # even generators die at k = 1
+    assert _component(1, {2: 5, 3: 1}) == [[1, [[3, 1]]]]
+    # no reduction at k = 0
+    assert _component(0, {0: 7, 5: -2}) == [[0, [[0, 7], [5, -2]]]]
+    # components and generators in ascending order, whatever the input order
+    u = g_element({4: {7: 2, 0: 1}, 0: {2: -3}})
+    assert g_to_json(u) == {"components": [[0, [[2, -3]]],
+                                           [4, [[0, 1], [7, 2]]]]}
+    assert g_to_json(g_identity()) == {"components": []}
+
+
+def test_even_exponents_in_range():
+    assert _component(4, {0: -1, 2: 9, 1: -3}) == [[4, [[0, 3], [1, -3],
+                                                        [2, 1]]]]
 
 
 def test_group_ops_examples():
@@ -48,7 +56,7 @@ def test_commutativity(u, v):
 
 @given(elements, elements, elements)
 def test_cancellativity(u, v, w):
-    assert g_eq(u, v) == g_eq(g_mul(u, w), g_mul(v, w))
+    assert (u == v) == (g_mul(u, w) == g_mul(v, w))
 
 
 @given(elements, elements, elements)
@@ -62,7 +70,7 @@ def test_eval_ax_p_examples():
     x = g_element({2: {4: 1}})
     assert eval_ax_p(g_identity(), 1, x) == x
     a = g_element({5: {3: -2}})
-    assert eval_ax_p(a, 2, TmPoint(5, 3).element()) == g_identity()
+    assert eval_ax_p(a, 2, tm_point(5, 3)) == g_identity()
 
 
 def test_solve_examples_against_brute_oracle():
@@ -141,24 +149,23 @@ def test_commutative_reduce():
 
 def test_tm_point_validation():
     with pytest.raises(ValueError):
-        TmPoint(0, 1)
+        tm_point(0, 1)
     with pytest.raises(ValueError):
-        TmPoint(2, -1)
+        tm_point(2, -1)
     # T_1 collapses even generators to the identity
-    assert TmPoint(1, 4).element() == g_identity()
-    assert TmPoint(1, 3).element() == g_element({1: {3: 1}})
+    assert tm_point(1, 4) == g_identity()
+    assert tm_point(1, 3) == g_element({1: {3: 1}})
 
 
 def test_component_validation():
     with pytest.raises(ValueError):
-        GkElement(-1, {})
+        g_element({-1: {}})
     with pytest.raises(ValueError):
-        GElement({2: GkElement(3, {1: 1})})
-    with pytest.raises(TypeError):
-        GElement({2: {1: 1}})
+        g_element({2: {-1: 1}})
 
 
-def test_json_roundtrip():
-    u = g_element({0: {2: -3}, 4: {0: 1, 7: 2}})
-    assert g_from_json(g_to_json(u)) == u
-    assert g_to_json(g_identity()) == {"components": []}
+@given(elements)
+@example(g_element({0: {2: -3}, 4: {0: 1, 7: 2}}))
+def test_json_roundtrip(u):
+    v = g_from_json(g_to_json(u))
+    assert v == u and hash(v) == hash(u)

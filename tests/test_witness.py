@@ -4,6 +4,7 @@ inductive invariants of the extension argument, replayed from traces."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zariski.errors import NotNormalized, OracleExhausted
 from zariski.groups import SYM
@@ -78,7 +79,6 @@ def test_symw_oracle_examples():
     oracle = symw_oracle()
     assert oracle.choose_image(PartialBijection(), 5, {0, 1}) == 2
     assert oracle.choose_image(PartialBijection({1: 2}), 0, {0, 1, 2}) == 3
-    assert oracle.extendable(PartialBijection({0: 7, 3: 1}))
     assert oracle.complete(PartialBijection({0: 1})) == T01
 
 
@@ -153,6 +153,16 @@ def test_random_witnesses_and_invariants():
             else:
                 assert s.counters_b[s.row] > prev_b[s.row]
             prev_a, prev_b = list(s.counters_a), list(s.counters_b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3),
+       degree=st.integers(1, 3), support=st.integers(0, 8))
+def test_witness_membership_property(seed, rows, degree, support):
+    P = rand_proper_pair(random.Random(seed), rows, degree, support)
+    g, trace = construct_witness(P, symw_oracle())
+    assert membership(P, g, SYM)
+    assert len(trace.steps) <= P.degree_sum()
 
 
 def test_determinism():
