@@ -13,9 +13,11 @@ Submodules:
 * ``finite``   -- exhaustive oracles on small finite groups;
 * ``cli``      -- seeded, reproducible experiment runner.
 
-Everything is plain Python: permutations are dicts of moved points, and
-the few loops that work on those dicts directly live beside their callers
-(``perm``, ``ragged`` and ``witness``).
+Permutations are dicts of moved points, and the few loops that work on
+those dicts directly live beside their callers (``perm``, ``ragged`` and
+``witness``).  The one array computation is the witness's forbidden set,
+which is counted with numpy on an image table over the support of the
+entry set C.
 """
 
 __version__ = "0.1.0"

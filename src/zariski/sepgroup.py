@@ -189,6 +189,37 @@ def g_to_json(u: GElement) -> dict:
                            for k, items in by_k]}
 
 
+def _json_list(item, what: str, length=None) -> list:
+    if not isinstance(item, list) or length not in (None, len(item)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise ValueError(f"{what} must be {shape}, got {item!r}")
+    return item
+
+
+def _json_int(item, what: str) -> int:
+    if not isinstance(item, int) or isinstance(item, bool):
+        raise ValueError(f"{what} must be an integer, got {item!r}")
+    return item
+
+
 def g_from_json(data) -> GElement:
-    return g_element({int(k): {int(n): int(e) for n, e in pairs}
-                      for k, pairs in data["components"]})
+    """Decode the ``g_to_json`` format.  Raises ValueError on any other
+    shape, and on a repeated component or generator index, which would
+    otherwise silently drop an exponent."""
+    if not isinstance(data, dict) or "components" not in data:
+        raise ValueError('expected an object with a "components" key')
+    spec = {}
+    for comp in _json_list(data["components"], '"components"'):
+        k, pairs = _json_list(comp, "a component", 2)
+        k = _json_int(k, "a component index")
+        if k in spec:
+            raise ValueError(f"component index {k} repeats")
+        exponents = spec[k] = {}
+        for pair in _json_list(pairs, f"the pairs of component {k}"):
+            n, e = _json_list(pair, f"a pair of component {k}", 2)
+            n = _json_int(n, "a generator index")
+            if n in exponents:
+                raise ValueError(
+                    f"generator index {n} repeats in component {k}")
+            exponents[n] = _json_int(e, "an exponent")
+    return g_element(spec)

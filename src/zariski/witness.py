@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from zariski.errors import NotNormalized, OracleExhausted
-from zariski.perm import (FinPermutation, PartialBijection, compose_maps,
-                          extend, invert_map)
+from zariski.perm import FinPermutation, PartialBijection, extend, invert_map
 from zariski.ragged import MatrixPair, stack
 
 
@@ -46,28 +47,44 @@ def _entries(P: MatrixPair) -> tuple:
 
 def _seven_parts(entries) -> tuple:
     """{1} u C u C^-1 u CC u CC^-1 u C^-1C u C^-1C^-1 for the entry set C,
-    deduplicated and sorted by canonical pair encoding."""
-    c = [e._map for e in entries]
-    cinv = [invert_map(m) for m in c]
-    seen = {(): {}}
-    for m in c + cinv:
-        seen[tuple(sorted(m.items()))] = m
-    for left in (c, cinv):
-        for right in (c, cinv):
-            for p in left:
-                for q in right:
-                    r = compose_maps(p, q)
-                    key = tuple(sorted(r.items()))
-                    if key not in seen:
-                        seen[key] = r
-    return tuple(FinPermutation._trusted(seen[k]) for k in sorted(seen))
+    as ``(support, rows)``: the sorted support S of C as a list, and one
+    distinct image row per element, with every point relabelled by its
+    index in S.  Each part fixes every point outside S, so the rows lose
+    nothing, and the identity is the row 0..|S|-1."""
+    support = sorted(set().union(*(e._map for e in entries)))
+    n = len(support)
+    if n == 0:  # C holds at most the identity
+        return support, np.empty((1, 0), dtype=np.uint8)
+    index = {s: i for i, s in enumerate(support)}
+    ident = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    c = np.tile(ident, (len(entries), 1))
+    for row, e in zip(c, entries):
+        for x, y in e._map.items():
+            row[index[x]] = index[y]
+    moves = np.concatenate([c, np.argsort(c, axis=1).astype(c.dtype)])
+    # products[p, q, x] = moves[q, moves[p, x]]: the left-to-right product
+    # of every ordered pair of moves
+    m = len(moves)
+    products = moves[np.arange(m)[None, :, None], moves[:, None, :]]
+    rows = np.concatenate([ident[None], moves, products.reshape(m * m, n)])
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * n)))
+    return support, np.unique(keys).view(rows.dtype).reshape(-1, n)
+
+
+def _permutations(support, rows) -> tuple:
+    """The image rows of ``_seven_parts`` as FinPermutations on the
+    original points, sorted by canonical pair encoding."""
+    perms = [FinPermutation._trusted({support[x]: support[y]
+                                      for x, y in enumerate(row) if x != y})
+             for row in rows.tolist()]
+    return tuple(sorted(perms, key=FinPermutation.to_pairs))
 
 
 def forbidden_set(P: MatrixPair) -> frozenset:
     """{1} u C u C^-1 u CC u CC^-1 u C^-1C u C^-1C^-1, where C is the set
     of entries of A and B.  Image points are kept away from the translates
     of this set so that no partial row evaluation can collide."""
-    return frozenset(_seven_parts(_entries(P)))
+    return frozenset(_permutations(*_seven_parts(_entries(P))))
 
 
 @dataclass(frozen=True)
@@ -87,17 +104,23 @@ class WitnessTrace:
     steps: tuple
     final: FinPermutation
 
+    # Both are derived on first access, since the construction itself only
+    # needs the translates of the forbidden set.
+    @cached_property
+    def forbidden_size(self) -> int:
+        """The number of elements of the seven-part product set."""
+        return len(_seven_parts(self.entries)[1])
+
     @cached_property
     def forbidden(self) -> tuple:
         """The seven-part product set of the entries, sorted by canonical
-        pair encoding; derived on first access, since the construction
-        itself only needs its translates."""
-        return _seven_parts(self.entries)
+        pair encoding."""
+        return _permutations(*_seven_parts(self.entries))
 
     def to_json(self) -> dict:
         return {
             "separators": list(self.separators),
-            "forbidden_size": len(self.forbidden),
+            "forbidden_size": self.forbidden_size,
             "steps": [{"case": s.case, "row": s.row,
                        "point": s.point, "image": s.image,
                        "counters_a": list(s.counters_a),
@@ -227,7 +250,8 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
             tuple(_partial_eval(brows[i], seps[i], xmap)[0] for i in range(k)),
         ))
         if len(steps) > budget:
-            raise AssertionError("step budget exceeded; oracle misbehaving")
+            raise OracleExhausted(
+                f"{len(steps)} steps exceed the step budget of {budget}")
 
     g = oracle.complete(PartialBijection._from_dict(dict(xmap)))
     trace = WitnessTrace(

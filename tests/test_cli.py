@@ -97,6 +97,12 @@ def test_intersect(tmp_path):
     code, report = run_json(
         tmp_path, ["intersect", "--random", "--cases", "10", "--seed", "4"])
     assert code == 0 and report["summary"]["fail"] == 0
+    # forbidden-set sizes as the per-product dict construction counted them
+    code, report = run_json(
+        tmp_path, ["intersect", "--random", "--cases", "3", "--seed", "11"])
+    assert code == 0
+    assert [c["trace"]["forbidden_size"] for c in report["cases"]] == \
+        [1787, 865, 568]
 
 
 def test_separate(tmp_path):

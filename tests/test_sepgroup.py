@@ -169,3 +169,23 @@ def test_component_validation():
 def test_json_roundtrip(u):
     v = g_from_json(g_to_json(u))
     assert v == u and hash(v) == hash(u)
+
+
+def test_json_rejects_repeats_and_bad_shapes():
+    with pytest.raises(ValueError, match="component index 1 repeats"):
+        g_from_json({"components": [[1, [[2, 1]]], [1, [[3, 1]]]]})
+    with pytest.raises(ValueError,
+                       match="generator index 2 repeats in component 1"):
+        g_from_json({"components": [[1, [[2, 1], [2, 3]]]]})
+    for data in ([], "components", None,  # not an object
+                 {}, {"comps": []},  # no "components" key
+                 {"components": 5}, {"components": [[1]]},
+                 {"components": [[1, [[2, 1]], 0]]},
+                 {"components": [[1, 5]]},  # malformed components
+                 {"components": [[1, [[2]]]]},
+                 {"components": [[1, [[2, 1, 0]]]]},
+                 {"components": [[1, [5]]]},  # malformed pairs
+                 {"components": [["1", [[2, 1]]]]},
+                 {"components": [[1, [[2, None]]]]}):  # non-integers
+        with pytest.raises(ValueError):
+            g_from_json(data)

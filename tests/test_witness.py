@@ -4,15 +4,16 @@ inductive invariants of the extension argument, replayed from traces."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zariski.errors import NotNormalized, OracleExhausted
 from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY, PartialBijection, transposition
 from zariski.ragged import membership, pair_of_rows, stack
 from zariski.randgen import rand_proper_pair
-from zariski.witness import (SymOmegaOracle, construct_witness, forbidden_set,
-                             intersect_witness, pick_separators, symw_oracle)
+from zariski.witness import (SymOmegaOracle, WitnessTrace, construct_witness,
+                             forbidden_set, intersect_witness, pick_separators,
+                             symw_oracle)
 
 T01 = transposition(0, 1)
 T12 = transposition(1, 2)
@@ -45,6 +46,48 @@ def test_forbidden_set_examples():
         for q in c:
             expected |= {p * q, p * q.inv(), p.inv() * q, p.inv() * q.inv()}
     assert forb == expected
+    # 300 points need a 16-bit image table: {1, c, c^-1, c^2, c^-2}
+    c = FinPermutation.from_cycles(tuple(range(7, 307)))
+    P = pair_of_rows([[c, IDENTITY]], [[IDENTITY, c]])
+    assert forbidden_set(P) == {IDENTITY, c, c.inv(), c * c,
+                                c.inv() * c.inv()}
+
+
+def _brute_seven_parts(entries) -> set:
+    c = set(entries)
+    out = {IDENTITY} | c | {p.inv() for p in c}
+    for p in c:
+        for q in c:
+            out |= {p * q, p * q.inv(), p.inv() * q, p.inv() * q.inv()}
+    return out
+
+
+@st.composite
+def _perms(draw):
+    points = draw(st.lists(st.integers(0, 5), unique=True, max_size=6))
+    return dict(zip(points, draw(st.permutations(points))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=st.lists(_perms(), max_size=4),
+       offset=st.integers(0, 10 ** 6))
+@example(maps=[], offset=0)
+@example(maps=[{}], offset=0)
+@example(maps=[{0: 1, 1: 0}], offset=2 ** 70)
+def test_forbidden_set_property(maps, offset):
+    entries = tuple(sorted(
+        {FinPermutation({x + offset: y + offset for x, y in m.items()})
+         for m in maps}, key=FinPermutation.to_pairs))
+    expected = _brute_seven_parts(entries)
+    trace = WitnessTrace(separators=(), entries=entries, steps=(),
+                         final=IDENTITY)
+    assert set(trace.forbidden) == expected
+    assert trace.forbidden_size == len(expected)
+    keys = [f.to_pairs() for f in trace.forbidden]
+    assert keys == sorted(set(keys))
+    if entries:
+        P = pair_of_rows([entries], [entries])
+        assert forbidden_set(P) == expected
 
 
 def test_witness_trace_matches_hand_run():
@@ -139,6 +182,7 @@ def test_random_witnesses_and_invariants():
         assert membership(P, g, SYM)
         assert len(trace.steps) <= P.degree_sum()
         assert set(trace.forbidden) == forbidden_set(P)
+        assert trace.to_json()["forbidden_size"] == len(trace.forbidden)
         keys = [f.to_pairs() for f in trace.forbidden]
         assert keys == sorted(set(keys))
         _replay_conditions(P, trace)
@@ -198,6 +242,7 @@ def test_trace_json():
     _, trace = construct_witness(COMMUTE_T01, symw_oracle())
     data = trace.to_json()
     assert data["separators"] == [0]
+    assert data["forbidden_size"] == 2
     assert data["steps"][0] == {"case": "alpha", "row": 0, "point": 1,
                                 "image": 2, "counters_a": [1],
                                 "counters_b": [0]}
