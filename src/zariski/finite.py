@@ -30,7 +30,7 @@ CLOSURE_GUARD = 2 ** 20
 class FiniteGroupTable:
     """A group given by its Cayley table; the axioms are checked eagerly."""
 
-    def __init__(self, mul, names=None):
+    def __init__(self, mul):
         self.mul = tuple(tuple(row) for row in mul)
         self.order = len(self.mul)
         if any(len(row) != self.order for row in self.mul):
@@ -40,7 +40,6 @@ class FiniteGroupTable:
         self.id = self._find_identity()
         self.inv = self._find_inverses()
         self._check_associative()
-        self.names = tuple(names) if names is not None else None
 
     def _find_identity(self) -> int:
         for e in range(self.order):
@@ -73,9 +72,6 @@ class FiniteGroupTable:
         return all(self.mul[a][b] == self.mul[b][a]
                    for a in range(self.order) for b in range(self.order))
 
-    def name_of(self, a: int) -> str:
-        return self.names[a] if self.names else str(a)
-
 
 class TableGroup(Group):
     """Group interface over table indices, for the generic word evaluators."""
@@ -95,7 +91,7 @@ class TableGroup(Group):
 
 def _cyclic(n: int) -> FiniteGroupTable:
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroupTable(mul, names=[str(i) for i in range(n)])
+    return FiniteGroupTable(mul)
 
 
 def _symmetric(k: int) -> FiniteGroupTable:
@@ -104,8 +100,7 @@ def _symmetric(k: int) -> FiniteGroupTable:
     # left-to-right composition, consistent with the rest of the package
     mul = [[index[tuple(b[a[x]] for x in range(k))] for b in perms]
            for a in perms]
-    names = ["".join(map(str, p)) for p in perms]
-    return FiniteGroupTable(mul, names=names)
+    return FiniteGroupTable(mul)
 
 
 _BUILTINS = {
@@ -184,11 +179,10 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     G = _semigroup_vectors(M, d, table.id, fix_first=False)
     if F.shape[0] * G.shape[0] > PAIR_GUARD:
         raise TooLarge(f"{F.shape[0]} x {G.shape[0]} word pairs")
-    parts = []
-    for i in range(F.shape[0]):
-        parts.append(_masks_of(F[i][None, :] != G))
-    masks = np.unique(np.concatenate(parts))
-    return SetFamily(table.order, frozenset(int(v) for v in masks))
+    masks = set()
+    for f in F:
+        masks.update(np.unique(_masks_of(f[None, :] != G)).tolist())
+    return SetFamily(table.order, frozenset(masks))
 
 
 def group_family(table: FiniteGroupTable, d: int) -> SetFamily:

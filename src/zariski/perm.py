@@ -3,8 +3,9 @@
 Composition is left to right throughout the package: ``(x)(p * q) = ((x)p)q``.
 Only moved points are stored, so two permutations are equal exactly when
 their stored maps are equal, and the identity is the empty map.  The
-moved-point dict is also the format the hot loops elsewhere in the package
-work on directly; ``compose_maps`` and ``invert_map`` are its arithmetic.
+moved-point dict is also the format that ``ragged.membership`` walks point
+by point, reading images with ``dict.get``; ``compose_maps`` and
+``invert_map`` are its arithmetic.
 """
 
 from __future__ import annotations

@@ -4,6 +4,13 @@ A pair (A, B) of ragged matrices with k rows each denotes the basic open
 set N_{A,B} of all x whose row evaluations differ in every coordinate:
 row i of A evaluates as the semigroup word with coefficients A.rows[i].
 
+Over Sym(N), ``membership`` never builds a row's value.  Two words
+c0 * x * c1 * ... * x * cn agree off the points that x and their
+coefficients move, so it walks each paired row point by point over those
+points only, on moved-point dicts, and stops at the first point where the
+two sides' images differ.  Other monoids go through the generic
+``row_eval``.
+
 ``normalize`` rewrites a pair over a cancellative monoid into one of three
 normal forms without changing the denoted set:
 
@@ -16,10 +23,11 @@ normal forms without changing the denoted set:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from zariski.errors import InvalidAdjuster
 from zariski.groups import Monoid, SymOmega
-from zariski.perm import FinPermutation, compose_maps
+from zariski.perm import FinPermutation
 from zariski.words import SemigroupWord, eval_semigroup
 
 
@@ -73,29 +81,31 @@ def row_eval(R: RaggedMatrix, i: int, x, G: Monoid):
     return eval_semigroup(SemigroupWord(R.rows[i]), x, G)
 
 
-def eval_word_maps(coeffs, x: dict) -> dict:
-    """Value of the word c0 * x * c1 * ... * x * cn on moved-point dicts."""
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = compose_maps(acc, x)
-        acc = compose_maps(acc, c)
-    return acc
-
-
-def rows_all_differ(rows_a, rows_b, x: dict) -> bool:
-    """True iff the evaluations of paired rows differ in every coordinate."""
-    for ra, rb in zip(rows_a, rows_b):
-        if eval_word_maps(ra, x) == eval_word_maps(rb, x):
-            return False
-    return True
+def _image(row, x: dict, t):
+    """Image of the point t under c0 * x * c1 * ... * x * cn, for a row of
+    coefficient moved-point dicts and x as a moved-point dict."""
+    t = row[0].get(t, t)
+    for c in row[1:]:
+        t = x.get(t, t)
+        t = c.get(t, t)
+    return t
 
 
 def membership(P: MatrixPair, x, G: Monoid) -> bool:
     """Is x in N_{A,B}, i.e. do all paired row evaluations differ?"""
     if isinstance(G, SymOmega):
-        ra = [[c._map for c in row] for row in P.A.rows]
-        rb = [[c._map for c in row] for row in P.B.rows]
-        return rows_all_differ(ra, rb, x._map)
+        xm = x._map
+        for arow, brow in zip(P.A.rows, P.B.rows):
+            ra = [c._map for c in arow]
+            rb = [c._map for c in brow]
+            # both words fix every point that neither x nor a coefficient
+            # moves, so they differ iff they differ at one of the others
+            for t in chain(xm, *ra, *rb):
+                if _image(ra, xm, t) != _image(rb, xm, t):
+                    break
+            else:
+                return False
+        return True
     return all(row_eval(P.A, i, x, G) != row_eval(P.B, i, x, G)
                for i in range(P.num_rows))
 

@@ -135,6 +135,11 @@ def test_enumeration_guards():
         group_family(s4, 3)
 
 
+def test_semigroup_family_s4_degree_two():
+    # the largest family inside the guards: 601 x 14,424 word pairs
+    assert len(semigroup_family(builtin("S4"), 2)) == 4411
+
+
 def test_topology_close():
     trivial = SetFamily(4, frozenset({0, 0b1111}))
     assert topology_close(trivial).masks == {0, 0b1111}

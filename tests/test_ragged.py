@@ -40,6 +40,9 @@ def test_membership_examples():
     assert not membership(COMMUTE_T01, IDENTITY, SYM)
     witness = FinPermutation({0: 3, 3: 0, 1: 2, 2: 1})
     assert membership(COMMUTE_T01, witness, SYM)
+    # the sides differ only at points that x and one side's coefficients fix
+    for a, b in ((IDENTITY, T01), (T01, IDENTITY)):
+        assert membership(pair_of_rows([[a]], [[b]]), IDENTITY, SYM)
 
 
 def test_membership_matches_generic_path():
@@ -51,6 +54,45 @@ def test_membership_matches_generic_path():
         generic = all(row_eval(P.A, i, x, SYM) != row_eval(P.B, i, x, SYM)
                       for i in range(P.num_rows))
         assert membership(P, x, SYM) == generic
+
+
+def shifted(p, k):
+    return FinPermutation({a + k: b + k for a, b in p._map.items()})
+
+
+def shifted_pair(P, k):
+    return pair_of_rows(([shifted(c, k) for c in row] for row in P.A.rows),
+                        ([shifted(c, k) for c in row] for row in P.B.rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3),
+       degree=st.integers(0, 3), support=st.integers(0, 6),
+       x_support=st.integers(0, 8), shift=st.integers(0, 10 ** 6))
+def test_membership_walk_property(seed, rows, degree, support, x_support,
+                                  shift):
+    # x may move points no coefficient moves and vice versa; the walk must
+    # look at both
+    rng = random.Random(seed)
+    P = shifted_pair(rand_pair(rng, rows, degree, support), shift)
+    x = shifted(rand_perm(rng, x_support), shift)
+    generic = all(row_eval(P.A, i, x, SYM) != row_eval(P.B, i, x, SYM)
+                  for i in range(P.num_rows))
+    assert membership(P, x, SYM) == generic
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3),
+       degree=st.integers(0, 3), support=st.integers(0, 6),
+       shift=st.integers(0, 10 ** 6))
+def test_membership_equal_row_property(seed, rows, degree, support, shift):
+    rng = random.Random(seed)
+    P = shifted_pair(rand_pair(rng, rows, degree, support), shift)
+    x = shifted(rand_perm(rng, support + 2), shift)
+    i = rng.randrange(P.num_rows)
+    b_rows = list(P.B.rows)
+    b_rows[i] = (row_eval(P.A, i, x, SYM),)
+    assert not membership(pair_of_rows(P.A.rows, b_rows), x, SYM)
 
 
 def test_stack():
