@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``perm``     -- finitely supported permutations of N, partial bijections;
+* ``perm``     -- finitely supported permutations of N and ``extend``;
 * ``words``    -- group/semigroup words, evaluation, degree-3 reduction;
 * ``ragged``   -- ragged matrix pairs, basic open sets, normal forms;
 * ``witness``  -- hyperconnectedness witnesses via partial-bijection extension;

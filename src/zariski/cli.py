@@ -466,9 +466,6 @@ def main(argv=None) -> int:
     except (ParseFailure, TooLarge, UnknownGroup, InvalidAdjuster) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EmptyInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ZariskiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -129,37 +129,24 @@ class SetFamily:
     order: int
     masks: frozenset
 
-    def sets(self) -> tuple:
-        out = []
-        for mask in sorted(self.masks):
-            out.append(tuple(i for i in range(self.order) if mask >> i & 1))
-        return tuple(out)
-
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.masks
 
-
-def _np_table(table: FiniteGroupTable) -> np.ndarray:
-    return np.array(table.mul, dtype=np.int64)
-
-
-def _semigroup_vectors(M: np.ndarray, d: int, identity: int,
-                       fix_first: bool) -> np.ndarray:
-    """Value vectors of all semigroup words of degree <= d; one row per
-    word.  With fix_first, the leading coefficient is the identity."""
+def _word_vectors(M: np.ndarray, level: np.ndarray, occurrences,
+                  d: int) -> np.ndarray:
+    """Value vectors of all words of degree <= d, one row per word and one
+    column per value of x.  ``level`` holds the degree-0 words; each x
+    occurrence reads one of the ``occurrences`` arrays (x itself, or x and
+    x^-1) and is followed by every coefficient in turn."""
     n = M.shape[0]
-    xs = np.arange(n)
-    if fix_first:
-        level = np.full((1, n), identity, dtype=np.int64)
-    else:
-        level = np.broadcast_to(np.arange(n)[:, None], (n, n)).copy()
     out = [level]
     for _ in range(d):
-        vx = M[level, xs[None, :]]
-        level = np.concatenate([M[vx, a] for a in range(n)], axis=0)
+        nxt = []
+        for occ in occurrences:
+            vx = M[level, occ[None, :]]
+            nxt.extend(M[vx, a] for a in range(n))
+        level = np.concatenate(nxt, axis=0)
         out.append(level)
     return np.concatenate(out, axis=0)
 
@@ -174,9 +161,11 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     at most d."""
     if table.order ** (d + 1) > ENUMERATION_GUARD:
         raise TooLarge(f"order {table.order} at degree {d}")
-    M = _np_table(table)
-    F = _semigroup_vectors(M, d, table.id, fix_first=True)
-    G = _semigroup_vectors(M, d, table.id, fix_first=False)
+    M = np.array(table.mul, dtype=np.int64)
+    n = table.order
+    xs = (np.arange(n),)
+    F = _word_vectors(M, np.full((1, n), table.id, dtype=np.int64), xs, d)
+    G = _word_vectors(M, np.repeat(np.arange(n)[:, None], n, axis=1), xs, d)
     if F.shape[0] * G.shape[0] > PAIR_GUARD:
         raise TooLarge(f"{F.shape[0]} x {G.shape[0]} word pairs")
     masks = set()
@@ -189,20 +178,11 @@ def group_family(table: FiniteGroupTable, d: int) -> SetFamily:
     """All sets {x : w(x) != 1} over group words of degree at most d."""
     if table.order ** (d + 1) * 2 ** d > ENUMERATION_GUARD:
         raise TooLarge(f"order {table.order} at degree {d} with signs")
-    M = _np_table(table)
     n = table.order
-    xs = np.arange(n)
-    xs_inv = np.array(table.inv, dtype=np.int64)
-    level = np.broadcast_to(np.arange(n)[:, None], (n, n)).copy()
-    levels = [level]
-    for _ in range(d):
-        nxt = []
-        for occ in (xs, xs_inv):
-            vx = M[level, occ[None, :]]
-            nxt.extend(M[vx, a] for a in range(n))
-        level = np.concatenate(nxt, axis=0)
-        levels.append(level)
-    values = np.concatenate(levels, axis=0)
+    M = np.array(table.mul, dtype=np.int64)
+    leading = np.repeat(np.arange(n)[:, None], n, axis=1)
+    occurrences = (np.arange(n), np.array(table.inv, dtype=np.int64))
+    values = _word_vectors(M, leading, occurrences, d)
     masks = np.unique(_masks_of(values != table.id))
     return SetFamily(table.order, frozenset(int(v) for v in masks))
 

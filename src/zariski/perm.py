@@ -1,11 +1,12 @@
-"""Finitely supported permutations of the naturals and finite partial bijections.
+"""Finitely supported permutations of the naturals.
 
 Composition is left to right throughout the package: ``(x)(p * q) = ((x)p)q``.
 Only moved points are stored, so two permutations are equal exactly when
 their stored maps are equal, and the identity is the empty map.  The
 moved-point dict is also the format that ``ragged.membership`` walks point
 by point, reading images with ``dict.get``; ``compose_maps`` and
-``invert_map`` are its arithmetic.
+``invert_map`` are its arithmetic.  A finite injective partial map is a
+plain dict too, which ``extend`` completes to a permutation.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class FinPermutation:
     def is_identity(self) -> bool:
         return not self._map
 
-    def moved(self) -> dict:
-        """Copy of the moved-point map."""
-        return dict(self._map)
-
     def to_pairs(self) -> tuple:
         """Canonical encoding: (point, image) pairs sorted by point."""
         return tuple(sorted(self._map.items()))
@@ -125,95 +122,25 @@ def transposition(x: int, y: int) -> FinPermutation:
     return FinPermutation._trusted({x: y, y: x})
 
 
-def compose(p: FinPermutation, q: FinPermutation) -> FinPermutation:
-    """Left-to-right composition, same as ``p * q``."""
-    return p * q
-
-
-class PartialBijection:
-    """A finite injective partial map on the naturals.
-
-    Unlike :class:`FinPermutation`, the domain and image need not coincide
-    and a point may map to itself.
-    """
-
-    __slots__ = ("_map",)
-
-    def __init__(self, pairs=()):
-        m = dict(pairs)
-        if any(x < 0 or y < 0 for x, y in m.items()):
-            raise ValueError("points must be non-negative integers")
-        if len(set(m.values())) != len(m):
-            raise ValueError("pairs are not injective")
-        self._map = m
-
-    def domain(self) -> frozenset:
-        return frozenset(self._map)
-
-    def image(self) -> frozenset:
-        return frozenset(self._map.values())
-
-    def get(self, x: int):
-        """Image of x, or None when x is outside the domain."""
-        return self._map.get(x)
-
-    def with_pair(self, x: int, y: int) -> "PartialBijection":
-        """Extended copy with the pair (x, y); validates injectivity."""
-        if x in self._map:
-            raise ValueError(f"{x} already in domain")
-        if y in self._map.values():
-            raise ValueError(f"{y} already in image")
-        m = dict(self._map)
-        m[x] = y
-        return PartialBijection._from_dict(m)
-
-    @classmethod
-    def _from_dict(cls, m: dict) -> "PartialBijection":
-        b = object.__new__(cls)
-        b._map = m
-        return b
-
-    def items(self) -> tuple:
-        return tuple(sorted(self._map.items()))
-
-    def to_json(self) -> list:
-        return [[x, y] for x, y in self.items()]
-
-    @classmethod
-    def from_json(cls, data) -> "PartialBijection":
-        return cls((int(x), int(y)) for x, y in data)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PartialBijection) and self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{x}: {y}" for x, y in self.items())
-        return f"PartialBijection({{{body}}})"
-
-
-def extend(b: PartialBijection) -> FinPermutation:
-    """Canonical extension of a finite injective partial map to a finitely
-    supported permutation.
+def extend(b: dict) -> FinPermutation:
+    """Canonical extension of a finite injective partial map, given as a
+    dict, to a finitely supported permutation.
 
     Every maximal chain x0 -> x1 -> ... -> xr of the partial map (x0 not in
     the image, xr not in the domain) is closed into a cycle by adding
     xr -> x0.  This is the minimal-support completion; restricted to the
-    domain of ``b`` the result equals ``b``.
+    domain of ``b`` the result equals ``b``.  A map that is not injective,
+    or has a negative point, raises ``ValueError``.
     """
-    m = dict(b.items())
-    img = set(m.values())
-    out = dict(m)
-    for x0 in m:
+    img = set(b.values())
+    if len(img) != len(b):
+        raise ValueError("partial map is not injective")
+    out = dict(b)
+    for x0 in b:
         if x0 in img:
             continue
         end = x0
-        while end in m:
-            end = m[end]
+        while end in b:
+            end = b[end]
         out[end] = x0
     return FinPermutation(out)

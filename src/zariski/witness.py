@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from zariski.errors import NotNormalized, OracleExhausted
-from zariski.perm import FinPermutation, PartialBijection, extend, invert_map
+from zariski.perm import FinPermutation, extend, invert_map
 from zariski.ragged import MatrixPair, stack
 
 
@@ -45,16 +45,17 @@ def _entries(P: MatrixPair) -> tuple:
                         key=FinPermutation.to_pairs))
 
 
-def _seven_parts(entries) -> tuple:
-    """{1} u C u C^-1 u CC u CC^-1 u C^-1C u C^-1C^-1 for the entry set C,
-    as ``(support, rows)``: the sorted support S of C as a list, and one
-    distinct image row per element, with every point relabelled by its
-    index in S.  Each part fixes every point outside S, so the rows lose
-    nothing, and the identity is the row 0..|S|-1."""
+def _count_seven_parts(entries) -> int:
+    """|{1} u C u C^-1 u CC u CC^-1 u C^-1C u C^-1C^-1| for the entry set C.
+
+    Each part fixes every point outside the support S of C, so an element
+    is determined by its image row on S, with every point relabelled by its
+    index in S; the count is the number of distinct rows, and the identity
+    is the row 0..|S|-1."""
     support = sorted(set().union(*(e._map for e in entries)))
     n = len(support)
     if n == 0:  # C holds at most the identity
-        return support, np.empty((1, 0), dtype=np.uint8)
+        return 1
     index = {s: i for i, s in enumerate(support)}
     ident = np.arange(n, dtype=np.min_scalar_type(n - 1))
     c = np.tile(ident, (len(entries), 1))
@@ -68,23 +69,7 @@ def _seven_parts(entries) -> tuple:
     products = moves[np.arange(m)[None, :, None], moves[:, None, :]]
     rows = np.concatenate([ident[None], moves, products.reshape(m * m, n)])
     keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * n)))
-    return support, np.unique(keys).view(rows.dtype).reshape(-1, n)
-
-
-def _permutations(support, rows) -> tuple:
-    """The image rows of ``_seven_parts`` as FinPermutations on the
-    original points, sorted by canonical pair encoding."""
-    perms = [FinPermutation._trusted({support[x]: support[y]
-                                      for x, y in enumerate(row) if x != y})
-             for row in rows.tolist()]
-    return tuple(sorted(perms, key=FinPermutation.to_pairs))
-
-
-def forbidden_set(P: MatrixPair) -> frozenset:
-    """{1} u C u C^-1 u CC u CC^-1 u C^-1C u C^-1C^-1, where C is the set
-    of entries of A and B.  Image points are kept away from the translates
-    of this set so that no partial row evaluation can collide."""
-    return frozenset(_permutations(*_seven_parts(_entries(P))))
+    return len(np.unique(keys))
 
 
 @dataclass(frozen=True)
@@ -104,18 +89,12 @@ class WitnessTrace:
     steps: tuple
     final: FinPermutation
 
-    # Both are derived on first access, since the construction itself only
-    # needs the translates of the forbidden set.
+    # Counted on first access, since the construction itself only needs
+    # the translates of the forbidden set.
     @cached_property
     def forbidden_size(self) -> int:
         """The number of elements of the seven-part product set."""
-        return len(_seven_parts(self.entries)[1])
-
-    @cached_property
-    def forbidden(self) -> tuple:
-        """The seven-part product set of the entries, sorted by canonical
-        pair encoding."""
-        return _permutations(*_seven_parts(self.entries))
+        return _count_seven_parts(self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -133,20 +112,21 @@ class WitnessTrace:
 class SymOmegaOracle:
     """No-algebraicity oracle for the finitary symmetric group on N.
 
-    Every finite injective partial map extends, and a fresh image for q is
-    simply the smallest natural avoiding the forbidden set and the image of
-    the map built so far.
+    Both methods get the partial map ``b`` built so far as a dict, point ->
+    image, which an oracle must not mutate.  Every finite injective partial
+    map extends, and a fresh image for q is simply the smallest natural
+    avoiding the forbidden translates and the image of ``b``.
     """
 
-    def choose_image(self, b: PartialBijection, q: int, forbidden) -> int:
+    def choose_image(self, b: dict, q: int, forbidden) -> int:
         banned = set(forbidden)
-        banned.update(b.image())
+        banned.update(b.values())
         a = 0
         while a in banned:
             a += 1
         return a
 
-    def complete(self, b: PartialBijection) -> FinPermutation:
+    def complete(self, b: dict) -> FinPermutation:
         return extend(b)
 
 
@@ -240,7 +220,7 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
         working.add(q)
         working.update(seps)
         tp = forbidden_translates(working)
-        q_img = oracle.choose_image(PartialBijection._from_dict(xmap), q, tp)
+        q_img = oracle.choose_image(xmap, q, tp)
         if q_img is None or q_img in tp:
             raise OracleExhausted("oracle returned no admissible image")
         xmap[q] = q_img
@@ -253,7 +233,7 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
             raise OracleExhausted(
                 f"{len(steps)} steps exceed the step budget of {budget}")
 
-    g = oracle.complete(PartialBijection._from_dict(dict(xmap)))
+    g = oracle.complete(xmap)
     trace = WitnessTrace(
         separators=seps,
         entries=entries,

@@ -85,11 +85,6 @@ def holds_ineq(pair: IneqPair, x, G: Monoid) -> bool:
     return eval_semigroup(pair.lhs, x, G) != eval_semigroup(pair.rhs, x, G)
 
 
-def basic_set_membership(pairs, x, G: Monoid) -> bool:
-    """Finite intersection of subbasic sets: all inequations must hold."""
-    return all(holds_ineq(p, x, G) for p in pairs)
-
-
 def formal_inverse(w: GroupWord, G: Group) -> GroupWord:
     """The word computing x -> w(x)^{-1}: coefficients reversed and
     inverted, signs reversed and flipped."""

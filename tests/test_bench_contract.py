@@ -1,0 +1,36 @@
+"""The certificate benchmark in ``certbench/`` drives the package only
+through public names and the witness oracle interface; a few of its cases
+run here so that a change breaking either fails the test suite, not just
+the benchmark."""
+
+import importlib
+import os
+
+import pytest
+
+CERTBENCH = os.path.join(os.path.dirname(__file__), "..", "certbench")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(CERTBENCH)
+    return (importlib.import_module("tracing"),
+            importlib.import_module("workloads"))
+
+
+@pytest.mark.parametrize("workload", ["intersect", "checks"])
+def test_first_cases_run_untraced(bench, workload):
+    tracing, workloads = bench
+    for fn, args in workloads.SETUPS[workload](0)[:5]:
+        assert isinstance(fn(tracing.NULL, *args), bytes)
+
+
+def test_intersect_case_runs_traced(bench):
+    # a real tracer wraps the oracle in the benchmark's delegating
+    # TracedOracle, so the partial map passes through it
+    tracing, workloads = bench
+    tr = tracing.Tracer()
+    fn, args = workloads.SETUPS["intersect"](0)[0]
+    assert isinstance(fn(tr, *args), bytes)
+    names = {rec[tracing.NAME] for rec in tr.spans}
+    assert {"witness.choose_image", "witness.complete"} <= names

@@ -7,7 +7,7 @@ import sys
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from zariski.cli import main
 from zariski.errors import ZariskiError
@@ -232,3 +232,45 @@ def test_table_format(tmp_path, capsys):
     assert text.startswith("command: witness")
     assert "summary: 1/1 pass" in text
     assert "backend:" not in text
+
+
+_SUBCOMMANDS = ["normalize", "witness", "intersect", "separate", "symcheck",
+                "finite-check"]
+_INT_FLAGS = ["--seed", "--cases", "--support", "--rows", "--max-degree",
+              "--m-min", "--m-max", "--bound-N"]
+_INTS = [str(i) for i in range(-2, 4)]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(tmp_path, data, capsys):
+    # argv drawn from the parser's own vocabulary (no --out, no stdin):
+    # every call ends in exit code 0, 1 or 2, never in another exception
+    pair = tmp_path / "pair.json"
+    pair.write_text('{"A": [[[[0,1],[1,0]], []]], '
+                    '"B": [[[], [[0,1],[1,0]]]]}')
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"A": [[')
+    paths = [str(pair), str(bad), str(tmp_path / "missing.json")]
+    groups = ["Z2", "Z3", "Q8"]
+    words = (_SUBCOMMANDS + _INT_FLAGS + _INTS + groups + paths
+             + ["--format", "json", "table", "--group", "--random", "--help"])
+    # mostly a flag with a value of its type, so that many calls get past
+    # the parser; single words cover misplaced and dangling ones
+    token = st.one_of(
+        st.tuples(st.sampled_from(_INT_FLAGS), st.sampled_from(_INTS)),
+        st.tuples(st.just("--format"), st.sampled_from(["json", "table"])),
+        st.tuples(st.just("--group"), st.sampled_from(groups)),
+        st.just(("--random",)),
+        st.tuples(st.sampled_from(words)))
+    argv = [data.draw(st.sampled_from(_SUBCOMMANDS))]
+    argv += data.draw(st.lists(st.sampled_from(paths), max_size=2))
+    argv += [w for t in data.draw(st.lists(token, max_size=4)) for w in t]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    event(f"exit {code}")
+    assert code in (0, 1, 2), argv

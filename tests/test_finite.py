@@ -175,8 +175,3 @@ def test_commutative_identity_small():
             grp = topology_close(group_family(table, d))
             assert sem.masks == grp.masks
 
-
-def test_set_family_sets_view():
-    fam = SetFamily(3, frozenset({0b101, 0}))
-    assert fam.sets() == ((), (0, 2))
-    assert 0b101 in fam and 0b010 not in fam

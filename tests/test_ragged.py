@@ -46,11 +46,13 @@ def test_membership_examples():
 
 
 def test_membership_matches_generic_path():
-    # the kernel fast path must agree with the generic evaluator
+    # the pointwise walk over Sym(N) must agree with the generic row
+    # evaluator; coefficients on 2 points and x on 4 often give rows whose
+    # sides differ only where x or one side alone moves a point
     rng = random.Random(7)
-    for _ in range(50):
-        P = rand_pair(rng, 3, 3, 6)
-        x = rand_perm(rng, 6)
+    for _ in range(200):
+        P = rand_pair(rng, 1, 1, 2)
+        x = rand_perm(rng, 4)
         generic = all(row_eval(P.A, i, x, SYM) != row_eval(P.B, i, x, SYM)
                       for i in range(P.num_rows))
         assert membership(P, x, SYM) == generic

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from zariski.errors import NotNormalized, OracleExhausted
 from zariski.groups import SYM
-from zariski.perm import FinPermutation, IDENTITY, PartialBijection, transposition
+from zariski.perm import FinPermutation, IDENTITY, transposition
 from zariski.ragged import membership, pair_of_rows, stack
 from zariski.randgen import rand_proper_pair
 from zariski.witness import (SymOmegaOracle, WitnessTrace, construct_witness,
-                             forbidden_set, intersect_witness, pick_separators,
-                             symw_oracle)
+                             intersect_witness, pick_separators, symw_oracle)
 
 T01 = transposition(0, 1)
 T12 = transposition(1, 2)
@@ -31,28 +30,6 @@ def test_pick_separators():
         pick_separators(bad)
 
 
-def test_forbidden_set_examples():
-    all_id = pair_of_rows([[IDENTITY, IDENTITY]], [[IDENTITY, IDENTITY]])
-    assert forbidden_set(all_id) == {IDENTITY}
-    assert forbidden_set(COMMUTE_T01) == {IDENTITY, T01}
-    P = pair_of_rows([[T01, IDENTITY]], [[T12, IDENTITY]])
-    forb = forbidden_set(P)
-    assert T01 * T12 in forb  # the product {0->2, 1->0, 2->1}
-    assert FinPermutation({0: 2, 1: 0, 2: 1}) in forb
-    # brute-force the seven parts
-    c = {T01, T12, IDENTITY}
-    expected = {IDENTITY} | c | {p.inv() for p in c}
-    for p in c:
-        for q in c:
-            expected |= {p * q, p * q.inv(), p.inv() * q, p.inv() * q.inv()}
-    assert forb == expected
-    # 300 points need a 16-bit image table: {1, c, c^-1, c^2, c^-2}
-    c = FinPermutation.from_cycles(tuple(range(7, 307)))
-    P = pair_of_rows([[c, IDENTITY]], [[IDENTITY, c]])
-    assert forbidden_set(P) == {IDENTITY, c, c.inv(), c * c,
-                                c.inv() * c.inv()}
-
-
 def _brute_seven_parts(entries) -> set:
     c = set(entries)
     out = {IDENTITY} | c | {p.inv() for p in c}
@@ -60,6 +37,26 @@ def _brute_seven_parts(entries) -> set:
         for q in c:
             out |= {p * q, p * q.inv(), p.inv() * q, p.inv() * q.inv()}
     return out
+
+
+def _forbidden_size(P) -> int:
+    entries = tuple(sorted({c for row in P.A.rows + P.B.rows for c in row},
+                           key=FinPermutation.to_pairs))
+    return WitnessTrace(separators=(), entries=entries, steps=(),
+                        final=IDENTITY).forbidden_size
+
+
+def test_forbidden_set_examples():
+    all_id = pair_of_rows([[IDENTITY, IDENTITY]], [[IDENTITY, IDENTITY]])
+    assert _forbidden_size(all_id) == 1  # {1}
+    assert _forbidden_size(COMMUTE_T01) == 2  # {1, (0 1)}
+    P = pair_of_rows([[T01, IDENTITY]], [[T12, IDENTITY]])
+    assert _forbidden_size(P) == len(_brute_seven_parts({T01, T12, IDENTITY}))
+    assert _forbidden_size(P) == 5  # Sym({0, 1, 2}) but (0 2)
+    # 300 points need a 16-bit image table: {1, c, c^-1, c^2, c^-2}
+    c = FinPermutation.from_cycles(tuple(range(7, 307)))
+    P = pair_of_rows([[c, IDENTITY]], [[IDENTITY, c]])
+    assert _forbidden_size(P) == 5
 
 
 @st.composite
@@ -81,13 +78,7 @@ def test_forbidden_set_property(maps, offset):
     expected = _brute_seven_parts(entries)
     trace = WitnessTrace(separators=(), entries=entries, steps=(),
                          final=IDENTITY)
-    assert set(trace.forbidden) == expected
     assert trace.forbidden_size == len(expected)
-    keys = [f.to_pairs() for f in trace.forbidden]
-    assert keys == sorted(set(keys))
-    if entries:
-        P = pair_of_rows([entries], [entries])
-        assert forbidden_set(P) == expected
 
 
 def test_witness_trace_matches_hand_run():
@@ -120,9 +111,12 @@ def test_not_normalized_rejected():
 
 def test_symw_oracle_examples():
     oracle = symw_oracle()
-    assert oracle.choose_image(PartialBijection(), 5, {0, 1}) == 2
-    assert oracle.choose_image(PartialBijection({1: 2}), 0, {0, 1, 2}) == 3
-    assert oracle.complete(PartialBijection({0: 1})) == T01
+    assert oracle.choose_image({}, 5, {0, 1}) == 2
+    b = {1: 2}
+    assert oracle.choose_image(b, 0, {0, 1}) == 3  # 2 is in the image
+    assert oracle.complete(b) == FinPermutation({1: 2, 2: 1})
+    assert b == {1: 2}  # neither method mutates the map
+    assert oracle.complete({0: 1}) == T01
 
 
 class _BadOracle(SymOmegaOracle):
@@ -154,7 +148,7 @@ def _replay_conditions(P, trace):
     avoids every forbidden translate of the working set before the step:
     the points of the map, the stuck point q and the separators."""
     seps = trace.separators
-    forb = trace.forbidden
+    forb = _brute_seven_parts(trace.entries)
     xmap = {}
     states = [dict(xmap)]
     for s in trace.steps:
@@ -181,10 +175,8 @@ def test_random_witnesses_and_invariants():
         g, trace = construct_witness(P, oracle)
         assert membership(P, g, SYM)
         assert len(trace.steps) <= P.degree_sum()
-        assert set(trace.forbidden) == forbidden_set(P)
-        assert trace.to_json()["forbidden_size"] == len(trace.forbidden)
-        keys = [f.to_pairs() for f in trace.forbidden]
-        assert keys == sorted(set(keys))
+        assert trace.to_json()["forbidden_size"] == \
+            len(_brute_seven_parts(trace.entries))
         _replay_conditions(P, trace)
         # counters never decrease; the handled row strictly increases
         prev_a = [0] * P.num_rows
@@ -219,7 +211,7 @@ def test_determinism():
         g2, t2 = construct_witness(P2, symw_oracle())
         assert g1 == g2 and t1 == t2
         assert hash(t1) == hash(t2)
-        assert t1.forbidden == t2.forbidden and t1 == t2
+        assert t1.forbidden_size == t2.forbidden_size and t1 == t2
 
 
 def test_intersect_witness():

@@ -10,9 +10,9 @@ from zariski.finite import TableGroup, builtin
 from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY, transposition
 from zariski.words import (GroupWord, IneqPair, SemigroupWord,
-                           basic_set_membership, eval_group, eval_semigroup,
-                           formal_inverse, group_ineq_to_semigroup_pair,
-                           holds_ineq, word_from_json, word_to_json)
+                           eval_group, eval_semigroup, formal_inverse,
+                           group_ineq_to_semigroup_pair, holds_ineq,
+                           word_from_json, word_to_json)
 
 T01 = transposition(0, 1)
 T12 = transposition(1, 2)
@@ -50,14 +50,6 @@ def test_holds_ineq_examples():
     comm = IneqPair(SemigroupWord((T01, IDENTITY)),
                     SemigroupWord((IDENTITY, T01)))
     assert not holds_ineq(comm, IDENTITY, SYM)
-
-
-def test_basic_set_membership():
-    assert basic_set_membership((), IDENTITY, SYM)
-    ineq = IneqPair(SemigroupWord((T01,)), SemigroupWord((T01,)))
-    assert not basic_set_membership([ineq], IDENTITY, SYM)
-    good = IneqPair(SemigroupWord((T01,)), SemigroupWord((T12,)))
-    assert basic_set_membership([good, good], IDENTITY, SYM)
 
 
 def s3_elements():
