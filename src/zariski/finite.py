@@ -159,15 +159,17 @@ def _masks_of(neq: np.ndarray) -> np.ndarray:
 def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     """All sets {x : f(x) != g(x)} over pairs of semigroup words of degree
     at most d."""
-    if table.order ** (d + 1) > ENUMERATION_GUARD:
-        raise TooLarge(f"order {table.order} at degree {d}")
-    M = np.array(table.mul, dtype=np.int64)
     n = table.order
+    if n ** (d + 1) > ENUMERATION_GUARD:
+        raise TooLarge(f"order {n} at degree {d}")
+    # words with leading coefficient 1 against words with any leading one
+    left = sum(n ** e for e in range(d + 1))
+    if left * n * left > PAIR_GUARD:
+        raise TooLarge(f"{left} x {n * left} word pairs")
+    M = np.array(table.mul, dtype=np.int64)
     xs = (np.arange(n),)
     F = _word_vectors(M, np.full((1, n), table.id, dtype=np.int64), xs, d)
     G = _word_vectors(M, np.repeat(np.arange(n)[:, None], n, axis=1), xs, d)
-    if F.shape[0] * G.shape[0] > PAIR_GUARD:
-        raise TooLarge(f"{F.shape[0]} x {G.shape[0]} word pairs")
     masks = set()
     for f in F:
         masks.update(np.unique(_masks_of(f[None, :] != G)).tolist())

@@ -97,7 +97,15 @@ class FinPermutation:
 
     @classmethod
     def from_json(cls, data) -> "FinPermutation":
-        return cls((int(x), int(y)) for x, y in data)
+        """Inverse of ``to_json``: a list of integer [point, image] pairs,
+        each point listed at most once."""
+        pairs = [(x, y) for x, y in data]
+        if any(type(v) is not int for pair in pairs for v in pair):
+            raise ValueError("points must be integers")
+        m = dict(pairs)
+        if len(m) != len(pairs):
+            raise ValueError("a point is listed twice")
+        return cls(m)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FinPermutation) and self._map == other._map

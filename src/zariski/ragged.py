@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from zariski.errors import InvalidAdjuster
+from zariski.errors import InvalidAdjuster, NotNormalized
 from zariski.groups import Monoid, SymOmega
 from zariski.perm import FinPermutation
 from zariski.words import SemigroupWord, eval_semigroup
@@ -137,11 +137,11 @@ class NormalForm:
 
     @classmethod
     def proper(cls, pair: MatrixPair) -> "NormalForm":
-        for arow, brow in zip(pair.A.rows, pair.B.rows):
+        for i, (arow, brow) in enumerate(zip(pair.A.rows, pair.B.rows)):
             if len(arow) == 1 and len(brow) == 1:
-                raise ValueError("proper form needs a positive degree per row")
+                raise NotNormalized(f"row {i} has degree 0 on both sides")
             if arow[0] == brow[0]:
-                raise ValueError("proper form needs distinct leading entries")
+                raise NotNormalized(f"row {i} has equal leading entries")
         return cls("proper", pair)
 
     @property

@@ -8,6 +8,12 @@ element.  The completed element lies in N_{A,B}; stacking two pairs first
 therefore produces a point in the intersection of two arbitrary nonempty
 basic open sets.
 
+Each fresh image avoids one forbidden set: the translates, under the
+seven-part product set of the entries, of every separator, every stuck
+point and every image chosen so far.  The set only grows, so each step
+adds the translates of its stuck point before the image is chosen and
+those of the image after.
+
 The group enters only through a small oracle interface, so the loop
 itself is group-agnostic; the shipped oracle models the finitary symmetric
 group on N.
@@ -22,7 +28,7 @@ import numpy as np
 
 from zariski.errors import NotNormalized, OracleExhausted
 from zariski.perm import FinPermutation, extend, invert_map
-from zariski.ragged import MatrixPair, stack
+from zariski.ragged import MatrixPair, NormalForm, stack
 
 
 def pick_separators(P: MatrixPair) -> tuple:
@@ -113,9 +119,12 @@ class SymOmegaOracle:
     """No-algebraicity oracle for the finitary symmetric group on N.
 
     Both methods get the partial map ``b`` built so far as a dict, point ->
-    image, which an oracle must not mutate.  Every finite injective partial
-    map extends, and a fresh image for q is simply the smallest natural
-    avoiding the forbidden translates and the image of ``b``.
+    image; ``choose_image`` also gets the ``forbidden`` set of translates.
+    The construction keeps growing both after the call, so an oracle must
+    not change either of them or keep a reference to it.  Every finite
+    injective partial map extends, and a fresh image for q is simply the
+    smallest natural avoiding the forbidden translates and the image of
+    ``b``.
     """
 
     def choose_image(self, b: dict, q: int, forbidden) -> int:
@@ -152,86 +161,63 @@ def _partial_eval(row_maps, m, xmap):
     return p, v
 
 
-def _check_proper(P: MatrixPair):
-    for i, (arow, brow) in enumerate(zip(P.A.rows, P.B.rows)):
-        if len(arow) == 1 and len(brow) == 1:
-            raise NotNormalized(f"row {i} has degree 0 on both sides")
-        if arow[0] == brow[0]:
-            raise NotNormalized(f"row {i} has equal leading entries")
-
-
 def construct_witness(P: MatrixPair, oracle) -> tuple:
     """Build an element of N_{A,B} together with its construction trace.
 
     ``P`` must be a proper normal form.  Loop: take the smallest row whose
     A-side evaluation at its separator is not yet defined (case alpha),
     else the smallest with the B side undefined (case beta); the stuck
-    point q receives a fresh image q' outside every forbidden translate of
-    the working set.  Each step pushes one row's defined prefix strictly
-    forward, so the loop ends after at most sum(d_A + d_B) steps.
+    point q receives a fresh image q' outside the forbidden set.  Each
+    step pushes one row's defined prefix strictly forward, so the loop
+    ends after at most sum(d_A + d_B) steps.
     """
-    _check_proper(P)
+    NormalForm.proper(P)
     seps = pick_separators(P)
     entries = _entries(P)
     cmaps = [c._map for c in entries]
     moves = cmaps + [invert_map(m) for m in cmaps]
     # Every part of the forbidden set fixes each point outside the support
     # S of the entries, and (t)(fg) = ((t)f)g, so the translates of s in S
-    # are the points reachable from s in at most two steps under C u C^-1.
-    support = set().union(*cmaps)
-    one_step = {s: {m.get(s, s) for m in moves} for s in support}
+    # are the points reachable from s in at most two steps under C u C^-1;
+    # a point outside S is its own only translate.
+    one_step = {s: {m.get(s, s) for m in moves} for s in set().union(*cmaps)}
     reach = {s: set().union({s}, nb, *(one_step[t] for t in nb))
              for s, nb in one_step.items()}
 
-    def forbidden_translates(points: set) -> set:
-        out = points - support
-        for s in points & support:
-            out |= reach[s]
-        return out
-
-    arows = [[c._map for c in row] for row in P.A.rows]
-    brows = [[c._map for c in row] for row in P.B.rows]
-    da = [len(r) - 1 for r in arows]
-    db = [len(r) - 1 for r in brows]
-    k = len(arows)
-
+    forbidden = set()
+    for s in seps:
+        forbidden |= reach.get(s, {s})
+    sides = [(case, [[c._map for c in row] for row in R.rows], R.degrees())
+             for case, R in (("alpha", P.A), ("beta", P.B))]
+    budget = P.degree_sum()
     xmap: dict = {}
     steps = []
-    budget = sum(da) + sum(db)
-
+    pending = None
     while True:
-        selected = None
-        for j in range(k):
-            p, v = _partial_eval(arows[j], seps[j], xmap)
-            if p < da[j]:
-                selected = ("alpha", j, v)
-                break
-        if selected is None:
-            for j in range(k):
-                p, v = _partial_eval(brows[j], seps[j], xmap)
-                if p < db[j]:
-                    selected = ("beta", j, v)
-                    break
-        if selected is None:
+        # one pass over every row gives the counters after the pending
+        # step and the next stuck row, alpha side before beta side
+        evals = [[_partial_eval(row, m, xmap) for row, m in zip(rows, seps)]
+                 for _, rows, _ in sides]
+        if pending:
+            steps.append(WitnessStep(
+                *pending, *(tuple(p for p, _ in ev) for ev in evals)))
+            if len(steps) > budget:
+                raise OracleExhausted(
+                    f"{len(steps)} steps exceed the step budget of {budget}")
+        pending = next(((case, j, v)
+                        for (case, _, degs), ev in zip(sides, evals)
+                        for j, ((p, v), d) in enumerate(zip(ev, degs))
+                        if p < d), None)
+        if pending is None:
             break
-        case, j, q = selected
-        working = set(xmap)
-        working.update(xmap.values())
-        working.add(q)
-        working.update(seps)
-        tp = forbidden_translates(working)
-        q_img = oracle.choose_image(xmap, q, tp)
-        if q_img is None or q_img in tp:
+        q = pending[2]
+        forbidden |= reach.get(q, {q})
+        q_img = oracle.choose_image(xmap, q, forbidden)
+        if q_img is None or q_img in forbidden:
             raise OracleExhausted("oracle returned no admissible image")
         xmap[q] = q_img
-        steps.append(WitnessStep(
-            case, j, q, q_img,
-            tuple(_partial_eval(arows[i], seps[i], xmap)[0] for i in range(k)),
-            tuple(_partial_eval(brows[i], seps[i], xmap)[0] for i in range(k)),
-        ))
-        if len(steps) > budget:
-            raise OracleExhausted(
-                f"{len(steps)} steps exceed the step budget of {budget}")
+        forbidden |= reach.get(q_img, {q_img})
+        pending += (q_img,)
 
     g = oracle.complete(xmap)
     trace = WitnessTrace(

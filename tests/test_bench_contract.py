@@ -3,6 +3,7 @@ through public names and the witness oracle interface; a few of its cases
 run here so that a change breaking either fails the test suite, not just
 the benchmark."""
 
+import hashlib
 import importlib
 import os
 
@@ -34,3 +35,14 @@ def test_intersect_case_runs_traced(bench):
     assert isinstance(fn(tr, *args), bytes)
     names = {rec[tracing.NAME] for rec in tr.spans}
     assert {"witness.choose_image", "witness.complete"} <= names
+
+
+def test_intersect_certificates_pinned(bench):
+    # the 500 certificates byte for byte; a change of the certificate
+    # schema updates this digest and says so in CHANGES.md
+    tracing, workloads = bench
+    digest = hashlib.sha256()
+    for fn, args in workloads.SETUPS["intersect"](0):
+        digest.update(fn(tracing.NULL, *args))
+    assert digest.hexdigest() == \
+        "a3c9b635b944d3a035537c0a532bc242225373bbff46dc4e9f589ec586e7d188"

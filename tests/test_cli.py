@@ -9,16 +9,26 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from zariski import cli, finite
 from zariski.cli import main
 from zariski.errors import ZariskiError
 from zariski.perm import IDENTITY, transposition
 from zariski.ragged import pair_of_rows, pair_to_json
 from zariski.randgen import rand_proper_pair
+from zariski.witness import SymOmegaOracle
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 T01 = transposition(0, 1)
 COMMUTE = pair_of_rows([[T01, IDENTITY]], [[IDENTITY, T01]])
+
+
+class NoImageOracle(SymOmegaOracle):
+    """An oracle that finds no fresh image, as a group with algebraicity
+    would."""
+
+    def choose_image(self, b, q, forbidden):
+        return None
 
 
 def write_pair(tmp_path, pair, name="pair.json"):
@@ -130,9 +140,18 @@ def test_finite_check(tmp_path):
     assert case["families_equal"] and case["reduction_mismatches"] == []
 
 
-def test_finite_check_too_large(capsys):
+def test_finite_check_too_large(capsys, monkeypatch):
+    # the degree-d families are enumerated first, so an oversized run
+    # fails before any family of a smaller degree is built
+    degrees = []
+    for name in ("semigroup_family", "group_family"):
+        def record(table, d, _inner=getattr(finite, name)):
+            degrees.append(d)
+            return _inner(table, d)
+        monkeypatch.setattr(finite, name, record)
     assert main(["finite-check", "--group", "S4", "--max-degree", "3"]) == 2
     assert "error" in capsys.readouterr().err
+    assert degrees == [3]
 
 
 def test_unknown_group_exits_2(capsys):
@@ -150,10 +169,26 @@ def test_parse_error_exits_2(tmp_path, capsys):
             ([1, 2], "not a list"),
             ({"A": [[[[0, 1], [1, 0]]]]}, 'no key "B"'),
             ({"A": [[[[0, 1]], []]], "B": [[[], []]]},
-             "moved points must map onto themselves")):
+             "moved points must map onto themselves"),
+            # the README's pair with a malformed (0 1): a repeated point
+            # once decoded silently to the identity
+            *(({"A": [[perm, []]], "B": [[[], perm]]}, problem)
+              for perm, problem in (
+                  ([[0, 1], [0, 0]], "listed twice"),
+                  ([[0, 1.7], [1.2, 0]], "must be integers"),
+                  ([["0", "1"], [1, 0]], "must be integers"),
+                  ([[True, 0], [0, 1]], "must be integers")))):
         bad.write_text(json.dumps(data))
-        assert main(["normalize", str(bad)]) == 2
-        assert problem in capsys.readouterr().err
+        for command in ("normalize", "witness"):
+            assert main([command, str(bad)]) == 2
+            assert problem in capsys.readouterr().err
+
+
+def test_oracle_without_image_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "symw_oracle", NoImageOracle)
+    assert main(["witness", write_pair(tmp_path, COMMUTE)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 JSON_VALUES = st.recursive(

@@ -124,9 +124,15 @@ class _BadOracle(SymOmegaOracle):
         return next(iter(forbidden))
 
 
+class _NoImageOracle(SymOmegaOracle):
+    def choose_image(self, b, q, forbidden):
+        return None
+
+
 def test_oracle_exhausted():
-    with pytest.raises(OracleExhausted):
-        construct_witness(COMMUTE_T01, _BadOracle())
+    for oracle in (_BadOracle(), _NoImageOracle()):
+        with pytest.raises(OracleExhausted):
+            construct_witness(COMMUTE_T01, oracle)
 
 
 def _alpha_chain(row, m, xmap):
