@@ -85,19 +85,18 @@ def _report(command: str, config: dict, cases: list) -> dict:
 
 # --- normalize -------------------------------------------------------------
 
-def _signature_monotone(steps) -> bool:
-    """Rewriting steps must never increase the signature; degree and row
-    rewrites (cancel/delete/empty) must strictly decrease it."""
-    prev = None
+def _signature_monotone(start, steps) -> bool:
+    """Rewriting steps, from the signature ``start`` of the input on, must
+    never increase the signature; degree and row rewrites
+    (cancel/delete/empty) must strictly decrease it."""
+    prev = start
     per_row_adjust = {}
     for step in steps:
         if step.kind in ("adjust_a", "adjust_b"):
             per_row_adjust[step.row] = per_row_adjust.get(step.row, 0) + 1
-            if per_row_adjust[step.row] > 1:
+            if per_row_adjust[step.row] > 1 or step.signature != prev:
                 return False
-            if prev is not None and step.signature != prev:
-                return False
-        elif prev is not None and step.signature >= prev:
+        elif step.signature >= prev:
             return False
         prev = step.signature
     return True
@@ -106,10 +105,7 @@ def _signature_monotone(steps) -> bool:
 def _normalize_case(pair: MatrixPair, rng: Random, samples: int,
                     support: int) -> dict:
     form, steps = normalize_steps(pair, SYM, DEFAULT_ADJUSTER)
-    start = signature(pair)
-    sigs = [start] + [s.signature for s in steps]
-    monotone = _signature_monotone(steps) and all(
-        s.signature <= start for s in steps)
+    monotone = _signature_monotone(signature(pair), steps)
     agree = all(
         membership(pair, x, SYM) == normal_membership(form, x, SYM)
         for x in (rand_perm(rng, support) for _ in range(samples)))
@@ -168,7 +164,9 @@ def _witness_case(pairs: list) -> dict:
     }
 
 
-def _run_witness(args, command: str, arity: int) -> dict:
+def cmd_witness(args) -> dict:
+    """Serves both ``witness`` (one input set) and ``intersect`` (two)."""
+    arity = 1 if args.command == "witness" else 2
     rng = Random(args.seed)
     cases = []
     if args.random:
@@ -181,22 +179,14 @@ def _run_witness(args, command: str, arity: int) -> dict:
     else:
         paths = [p for p in (args.input, args.input2) if p]
         if len(paths) != arity:
-            raise ParseFailure(f"{command} needs {arity} input file(s) "
+            raise ParseFailure(f"{args.command} needs {arity} input file(s) "
                                "or --random")
         pairs = [_load_pair(p) for p in paths]
         cases.append(_witness_case(pairs))
-    return _report(command,
+    return _report(args.command,
                    _config(args, ["seed", "cases", "rows", "max-degree",
                                   "support"]),
                    cases)
-
-
-def cmd_witness(args) -> dict:
-    return _run_witness(args, "witness", 1)
-
-
-def cmd_intersect(args) -> dict:
-    return _run_witness(args, "intersect", 2)
 
 
 # --- separate ----------------------------------------------------------------
@@ -372,8 +362,11 @@ def _emit(report: dict, args) -> None:
     else:
         text = _render_table(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseFailure(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -413,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=_at_least(0), default=8)
     p.set_defaults(func=cmd_normalize)
 
-    for name, arity, helptext in (
-            ("witness", 1, "construct a witness inside one basic set"),
-            ("intersect", 2, "witness the intersection of two basic sets")):
+    for name, helptext in (
+            ("witness", "construct a witness inside one basic set"),
+            ("intersect", "witness the intersection of two basic sets")):
         p = subs.add_parser(name, help=helptext)
         p.add_argument("input", nargs="?", default=None,
                        help="matrix-pair JSON file")
@@ -427,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rows", type=_at_least(1), default=3)
         p.add_argument("--max-degree", type=_at_least(1), default=3)
         p.add_argument("--support", type=_at_least(0), default=8)
-        p.set_defaults(func=cmd_witness if arity == 1 else cmd_intersect)
+        p.set_defaults(func=cmd_witness)
 
     p = subs.add_parser("separate",
                         help="finite/cofinite dichotomy in the separating group")
@@ -462,15 +455,15 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report = args.func(args)
+        if args.format == "json":
+            report["wall_time_s"] = round(time.perf_counter() - started, 6)
+        _emit(report, args)
     except (ParseFailure, TooLarge, UnknownGroup, InvalidAdjuster) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZariskiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    _emit(report, args)
     return 0 if report["summary"]["fail"] == 0 else 1
 
 

@@ -59,17 +59,6 @@ class FinPermutation:
         p._map = m
         return p
 
-    @classmethod
-    def from_cycles(cls, *cycles) -> "FinPermutation":
-        """Build from disjoint cycles, e.g. ``from_cycles((0, 1), (2, 3, 4))``."""
-        m = {}
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
-                if a in m:
-                    raise ValueError("cycles are not disjoint")
-                m[a] = b
-        return cls(m)
-
     def apply(self, x: int) -> int:
         """The image (x)p; fixed points map to themselves."""
         return self._map.get(x, x)
@@ -84,9 +73,6 @@ class FinPermutation:
 
     def support(self) -> frozenset:
         return frozenset(self._map)
-
-    def is_identity(self) -> bool:
-        return not self._map
 
     def to_pairs(self) -> tuple:
         """Canonical encoding: (point, image) pairs sorted by point."""

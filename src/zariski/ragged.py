@@ -161,9 +161,10 @@ class NormalForm:
 class NormStep:
     """One rewriting event, with the signature of the surviving rows after it.
 
-    ``cancel`` and ``delete`` strictly decrease the signature; ``adjust_a``
-    and ``adjust_b`` rewrite entries only (the signature is unchanged) and
-    fire at most once per row.  ``empty`` aborts the whole rewriting.
+    ``cancel``, ``delete`` and ``empty`` strictly decrease the signature
+    (the last two drop their row); ``adjust_a`` and ``adjust_b`` rewrite
+    entries only (the signature is unchanged) and fire at most once per
+    row.  ``empty`` aborts the whole rewriting.
     """
 
     kind: str  # "cancel" | "adjust_a" | "adjust_b" | "delete" | "empty"
@@ -204,10 +205,10 @@ def normalize_steps(P: MatrixPair, G: Monoid, adjuster):
         while True:
             a, b = rows[i]
             if len(a) == 1 and len(b) == 1:
+                alive[i] = False
                 if a[0] == b[0]:
                     steps.append(NormStep("empty", i, _live_signature(rows, alive)))
                     return NormalForm.empty(), tuple(steps)
-                alive[i] = False
                 steps.append(NormStep("delete", i, _live_signature(rows, alive)))
                 break
             if a[0] != b[0]:

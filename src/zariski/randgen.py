@@ -42,7 +42,7 @@ def rand_pair(rng: Random, max_rows: int, max_degree: int,
 
 
 def rand_proper_pair(rng: Random, max_rows: int, max_degree: int,
-                     support: int, adjuster=DEFAULT_ADJUSTER) -> MatrixPair:
+                     support: int) -> MatrixPair:
     """Keep sampling random pairs until one normalizes to a proper form.
 
     A proper form needs at least one row of positive degree, so bounds
@@ -54,19 +54,18 @@ def rand_proper_pair(rng: Random, max_rows: int, max_degree: int,
             f"most {max_degree}; both bounds must be at least 1")
     while True:
         form = normalize(rand_pair(rng, max_rows, max_degree, support),
-                         SYM, adjuster)
+                         SYM, DEFAULT_ADJUSTER)
         if form.is_proper:
             return form.pair
 
 
 def rand_gelement(rng: Random, max_k: int = 6, max_gen: int = 20,
-                  max_exp: int = 5, max_components: int = 3,
-                  max_terms: int = 3) -> GElement:
+                  max_exp: int = 5) -> GElement:
     spec = {}
-    for _ in range(rng.randint(0, max_components)):
+    for _ in range(rng.randint(0, 3)):
         k = rng.randint(0, max_k)
         exp = spec.setdefault(k, {})
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, 3)):
             n = rng.randint(0, max_gen)
             e = rng.randint(-max_exp, max_exp)
             exp[n] = exp.get(n, 0) + e

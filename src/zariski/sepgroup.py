@@ -86,10 +86,6 @@ def _mul_pow(a: GElement, x: GElement, p: int) -> GElement:
     return GElement(exp)
 
 
-def g_mul(u: GElement, v: GElement) -> GElement:
-    return _mul_pow(u, v, 1)
-
-
 def g_inv(u: GElement) -> GElement:
     return _mul_pow(g_identity(), u, -1)
 

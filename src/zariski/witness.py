@@ -45,10 +45,9 @@ def pick_separators(P: MatrixPair) -> tuple:
     return tuple(seps)
 
 
-def _entries(P: MatrixPair) -> tuple:
-    """The entry set C of A and B, sorted by canonical pair encoding."""
-    return tuple(sorted({c for row in P.A.rows + P.B.rows for c in row},
-                        key=FinPermutation.to_pairs))
+def _entries(P: MatrixPair) -> frozenset:
+    """The entry set C of A and B."""
+    return frozenset(c for row in P.A.rows + P.B.rows for c in row)
 
 
 def _count_seven_parts(entries) -> int:
@@ -91,7 +90,7 @@ class WitnessStep:
 @dataclass(frozen=True)
 class WitnessTrace:
     separators: tuple
-    entries: tuple  # the entry set C, sorted by canonical pair encoding
+    entries: frozenset  # the entry set C
     steps: tuple
     final: FinPermutation
 

@@ -132,19 +132,3 @@ def group_ineq_to_semigroup_pair(w: GroupWord, G: Group) -> IneqPair:
     raise IrreducibleSignature(  # unreachable for degree <= 3
         f"degree {w.degree} with {negs} negative signs")
 
-
-def word_to_json(w) -> dict:
-    """Wire format for words with FinPermutation coefficients."""
-    out = {"coeffs": [c.to_json() for c in w.coefficients]}
-    if isinstance(w, GroupWord):
-        out["signs"] = list(w.signs)
-    return out
-
-
-def word_from_json(data):
-    from zariski.perm import FinPermutation
-
-    coeffs = tuple(FinPermutation.from_json(c) for c in data["coeffs"])
-    if "signs" in data:
-        return GroupWord(coeffs, tuple(int(s) for s in data["signs"]))
-    return SemigroupWord(coeffs)

@@ -13,7 +13,7 @@ from zariski import cli, finite
 from zariski.cli import main
 from zariski.errors import ZariskiError
 from zariski.perm import IDENTITY, transposition
-from zariski.ragged import pair_of_rows, pair_to_json
+from zariski.ragged import NormStep, pair_of_rows, pair_to_json, signature
 from zariski.randgen import rand_proper_pair
 from zariski.witness import SymOmegaOracle
 
@@ -63,6 +63,32 @@ def test_normalize_empty_and_full(tmp_path):
                             ["normalize", write_pair(tmp_path, full, "f.json")])
     assert code == 0
     assert report["cases"][0]["form"] == "full"
+    # a cancel, then the empty step, which lowers the signature again
+    twice = pair_of_rows([[T01, T01]], [[T01, T01]])
+    code, report = run_json(tmp_path,
+                            ["normalize", write_pair(tmp_path, twice, "t.json")])
+    assert code == 0
+    case = report["cases"][0]
+    assert [s["kind"] for s in case["steps"]] == ["cancel", "empty"]
+    assert case["signature_monotone"]
+
+
+@pytest.mark.parametrize("kind, sig", [
+    ("cancel", (1, 1, 1)),  # a rewrite that leaves the signature equal
+    ("adjust_a", (1, 0, 1)),  # an adjustment that lowers it
+])
+def test_normalize_checks_the_first_step(tmp_path, monkeypatch, kind, sig):
+    assert signature(COMMUTE) == (1, 1, 1)
+    real = cli.normalize_steps
+
+    def fabricated(pair, G, adjuster):
+        form, _ = real(pair, G, adjuster)
+        return form, (NormStep(kind, 0, sig),)
+    monkeypatch.setattr(cli, "normalize_steps", fabricated)
+    code, report = run_json(tmp_path,
+                            ["normalize", write_pair(tmp_path, COMMUTE)])
+    assert code == 1
+    assert report["cases"][0]["signature_monotone"] is False
 
 
 def test_witness_file_input(tmp_path):
@@ -182,6 +208,14 @@ def test_parse_error_exits_2(tmp_path, capsys):
         for command in ("normalize", "witness"):
             assert main([command, str(bad)]) == 2
             assert problem in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    for out in (tmp_path / "no" / "such" / "r.json", tmp_path):
+        assert main(["symcheck", "--cases", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
 
 
 def test_oracle_without_image_exits_1(tmp_path, capsys, monkeypatch):

@@ -99,14 +99,6 @@ def test_validation():
         extend({0: -1})
 
 
-def test_from_cycles():
-    assert FinPermutation.from_cycles((0, 1, 2)) == perm({0: 1, 1: 2, 2: 0})
-    assert FinPermutation.from_cycles((0, 1), (2, 3)) == \
-        perm({0: 1, 1: 0, 2: 3, 3: 2})
-    with pytest.raises(ValueError):
-        FinPermutation.from_cycles((0, 1), (1, 2))
-
-
 @given(perms, perms, perms)
 def test_associativity(p, q, r):
     assert (p * q) * r == p * (q * r)

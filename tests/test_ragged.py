@@ -20,11 +20,11 @@ COMMUTE_T01 = pair_of_rows([[T01, IDENTITY]], [[IDENTITY, T01]])
 
 
 def test_row_eval_examples():
-    a = FinPermutation.from_cycles((0, 5))
+    a = FinPermutation({0: 5, 5: 0})
     R = RaggedMatrix(((a,),))
     assert row_eval(R, 0, T01, SYM) == a
     R = RaggedMatrix(((IDENTITY, IDENTITY),))
-    sigma = FinPermutation.from_cycles((0, 1, 2))
+    sigma = FinPermutation({0: 1, 1: 2, 2: 0})
     assert row_eval(R, 0, sigma, SYM) == sigma
     R = RaggedMatrix(((T01, IDENTITY, T12),))
     x = transposition(0, 2)
@@ -128,6 +128,13 @@ def test_normalize_empty():
     a = T01
     P = pair_of_rows([[a]], [[a]])
     assert normalize(P, SYM, DEFAULT_ADJUSTER).is_empty
+    # the empty step drops its row, so it lowers the signature even after
+    # a cancel has reached the same row
+    P = pair_of_rows([[IDENTITY, a], [a, a]], [[T12, a], [a, a]])
+    form, steps = normalize_steps(P, SYM, DEFAULT_ADJUSTER)
+    assert form.is_empty
+    assert [(s.kind, s.signature) for s in steps] == [
+        ("cancel", (2, 1, 0, 1, 0)), ("empty", (1, 1, 1))]
 
 
 def test_normalize_full():

@@ -1,7 +1,9 @@
 """Witness construction: spec'd traces, membership, loop bound, and the
 inductive invariants of the extension argument, replayed from traces."""
 
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +18,7 @@ from zariski.witness import (SymOmegaOracle, WitnessTrace, construct_witness,
 
 T01 = transposition(0, 1)
 T12 = transposition(1, 2)
-C3 = FinPermutation.from_cycles((0, 1, 2))
+C3 = FinPermutation({0: 1, 1: 2, 2: 0})
 COMMUTE_T01 = pair_of_rows([[T01, IDENTITY]], [[IDENTITY, T01]])
 
 
@@ -40,8 +42,7 @@ def _brute_seven_parts(entries) -> set:
 
 
 def _forbidden_size(P) -> int:
-    entries = tuple(sorted({c for row in P.A.rows + P.B.rows for c in row},
-                           key=FinPermutation.to_pairs))
+    entries = frozenset(c for row in P.A.rows + P.B.rows for c in row)
     return WitnessTrace(separators=(), entries=entries, steps=(),
                         final=IDENTITY).forbidden_size
 
@@ -54,7 +55,7 @@ def test_forbidden_set_examples():
     assert _forbidden_size(P) == len(_brute_seven_parts({T01, T12, IDENTITY}))
     assert _forbidden_size(P) == 5  # Sym({0, 1, 2}) but (0 2)
     # 300 points need a 16-bit image table: {1, c, c^-1, c^2, c^-2}
-    c = FinPermutation.from_cycles(tuple(range(7, 307)))
+    c = FinPermutation({x: x + 1 for x in range(7, 306)} | {306: 7})
     P = pair_of_rows([[c, IDENTITY]], [[IDENTITY, c]])
     assert _forbidden_size(P) == 5
 
@@ -72,9 +73,9 @@ def _perms(draw):
 @example(maps=[{}], offset=0)
 @example(maps=[{0: 1, 1: 0}], offset=2 ** 70)
 def test_forbidden_set_property(maps, offset):
-    entries = tuple(sorted(
-        {FinPermutation({x + offset: y + offset for x, y in m.items()})
-         for m in maps}, key=FinPermutation.to_pairs))
+    entries = frozenset(
+        FinPermutation({x + offset: y + offset for x, y in m.items()})
+        for m in maps)
     expected = _brute_seven_parts(entries)
     trace = WitnessTrace(separators=(), entries=entries, steps=(),
                          final=IDENTITY)
@@ -245,3 +246,12 @@ def test_trace_json():
                                 "image": 2, "counters_a": [1],
                                 "counters_b": [0]}
     assert data["witness"] == [[0, 3], [1, 2], [2, 1], [3, 0]]
+
+
+def test_readme_python_examples_run(capsys):
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
