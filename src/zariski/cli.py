@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from random import Random
@@ -368,7 +369,17 @@ def _emit(report: dict, args) -> None:
         except OSError as exc:
             raise ParseFailure(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit; send what is
+            # still buffered to the null device so that flush cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ParseFailure("cannot write the report to standard "
+                               f"output: {exc}") from exc
 
 
 # --- parser ------------------------------------------------------------------

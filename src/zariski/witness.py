@@ -127,10 +127,9 @@ class SymOmegaOracle:
     """
 
     def choose_image(self, b: dict, q: int, forbidden) -> int:
-        banned = set(forbidden)
-        banned.update(b.values())
+        used = set(b.values())
         a = 0
-        while a in banned:
+        while a in forbidden or a in used:
             a += 1
         return a
 
@@ -142,33 +141,31 @@ def symw_oracle() -> SymOmegaOracle:
     return SymOmegaOracle()
 
 
-def _partial_eval(row_maps, m, xmap):
-    """Longest defined prefix of c0 x c1 ... x cp at the point m.
+def _advance(row, p, v, xmap):
+    """Push a row's evaluation state forward while it is defined.
 
-    Returns (p, value): p is the largest coefficient index reached, value
-    the point after applying c_p.  The prefix extends past c_p only when
-    the current value lies in the domain of the partial map x.
+    The state (p, v) says that c0 x c1 ... x cp takes the separator to v;
+    the next coefficient applies once v lies in the domain of the partial
+    map x.  Returns the state where the row is finished or stuck.
     """
-    v = row_maps[0].get(m, m)
-    p = 0
-    for c in row_maps[1:]:
-        if v not in xmap:
-            break
-        v = xmap[v]
-        v = c.get(v, v)
+    while p + 1 < len(row) and v in xmap:
         p += 1
+        v = xmap[v]
+        v = row[p].get(v, v)
     return p, v
 
 
 def construct_witness(P: MatrixPair, oracle) -> tuple:
     """Build an element of N_{A,B} together with its construction trace.
 
-    ``P`` must be a proper normal form.  Loop: take the smallest row whose
-    A-side evaluation at its separator is not yet defined (case alpha),
+    ``P`` must be a proper normal form.  Each row keeps its evaluation
+    state at its separator from one step to the next.  Loop: take the
+    smallest row whose A-side evaluation is not yet defined (case alpha),
     else the smallest with the B side undefined (case beta); the stuck
-    point q receives a fresh image q' outside the forbidden set.  Each
-    step pushes one row's defined prefix strictly forward, so the loop
-    ends after at most sum(d_A + d_B) steps.
+    point q receives a fresh image q' outside the forbidden set, and only
+    the rows stuck at q move on.  Each step pushes at least the chosen
+    row strictly forward, so the loop ends after at most sum(d_A + d_B)
+    steps.
     """
     NormalForm.proper(P)
     seps = pick_separators(P)
@@ -186,37 +183,36 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
     forbidden = set()
     for s in seps:
         forbidden |= reach.get(s, {s})
-    sides = [(case, [[c._map for c in row] for row in R.rows], R.degrees())
+    sides = [(case, [[c._map for c in row] for row in R.rows])
              for case, R in (("alpha", P.A), ("beta", P.B))]
+    states = [[(0, row[0].get(m, m)) for row, m in zip(rows, seps)]
+              for _, rows in sides]
     budget = P.degree_sum()
     xmap: dict = {}
     steps = []
-    pending = None
     while True:
-        # one pass over every row gives the counters after the pending
-        # step and the next stuck row, alpha side before beta side
-        evals = [[_partial_eval(row, m, xmap) for row, m in zip(rows, seps)]
-                 for _, rows, _ in sides]
-        if pending:
-            steps.append(WitnessStep(
-                *pending, *(tuple(p for p, _ in ev) for ev in evals)))
-            if len(steps) > budget:
-                raise OracleExhausted(
-                    f"{len(steps)} steps exceed the step budget of {budget}")
-        pending = next(((case, j, v)
-                        for (case, _, degs), ev in zip(sides, evals)
-                        for j, ((p, v), d) in enumerate(zip(ev, degs))
-                        if p < d), None)
-        if pending is None:
+        stuck = next(((case, j, v)
+                      for (case, rows), state in zip(sides, states)
+                      for j, (row, (p, v)) in enumerate(zip(rows, state))
+                      if p + 1 < len(row)), None)
+        if stuck is None:
             break
-        q = pending[2]
+        if len(steps) == budget:
+            raise OracleExhausted(
+                f"{len(steps) + 1} steps exceed the step budget of {budget}")
+        case, j, q = stuck
         forbidden |= reach.get(q, {q})
         q_img = oracle.choose_image(xmap, q, forbidden)
         if q_img is None or q_img in forbidden:
             raise OracleExhausted("oracle returned no admissible image")
         xmap[q] = q_img
         forbidden |= reach.get(q_img, {q_img})
-        pending += (q_img,)
+        for (_, rows), state in zip(sides, states):
+            for i, (row, (p, v)) in enumerate(zip(rows, state)):
+                if v == q:
+                    state[i] = _advance(row, p, v, xmap)
+        steps.append(WitnessStep(case, j, q, q_img, *(
+            tuple(p for p, _ in state) for state in states)))
 
     g = oracle.complete(xmap)
     trace = WitnessTrace(

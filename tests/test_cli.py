@@ -218,6 +218,22 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that rejects every write")
+def test_unwritable_stdout_exits_2():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "zariski.cli", "symcheck", "--cases", "1"],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith(
+        "error: cannot write the report to standard output: ")
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
 def test_oracle_without_image_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "symw_oracle", NoImageOracle)
     assert main(["witness", write_pair(tmp_path, COMMUTE)]) == 1

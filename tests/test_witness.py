@@ -1,6 +1,8 @@
 """Witness construction: spec'd traces, membership, loop bound, and the
 inductive invariants of the extension argument, replayed from traces."""
 
+import hashlib
+import json
 import pathlib
 import random
 import re
@@ -221,9 +223,26 @@ def test_determinism():
         assert t1.forbidden_size == t2.forbidden_size and t1 == t2
 
 
+def test_large_degree_traces_pinned():
+    # degree sums 757, 217, 76, 360 and 501: 808 steps in all
+    digest = hashlib.sha256()
+    for seed in range(5):
+        P = rand_proper_pair(random.Random(seed), 20, 60, 5)
+        _, trace = construct_witness(P, symw_oracle())
+        digest.update(json.dumps(trace.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "94d889c660c66827010af6e2fb8e27407ff3efcf72545a9f793351e0adae1238"
+
+
 def test_intersect_witness():
-    g, _ = intersect_witness(COMMUTE_T01, COMMUTE_T01, symw_oracle())
+    g, trace = intersect_witness(COMMUTE_T01, COMMUTE_T01, symw_oracle())
     assert membership(COMMUTE_T01, g, SYM)
+    # both copies of each row are stuck at the same point, so each step
+    # moves two rows
+    assert [(s.case, s.row, s.point, s.image) for s in trace.steps] == \
+        [("alpha", 0, 1, 2), ("beta", 0, 0, 3)]
+    assert trace.steps[0].counters_a == (1, 1)
+    assert trace.steps[1].counters_b == (1, 1)
     P2 = pair_of_rows([[C3, IDENTITY]], [[IDENTITY, C3]])
     g, trace = intersect_witness(COMMUTE_T01, P2, symw_oracle())
     assert membership(COMMUTE_T01, g, SYM)
