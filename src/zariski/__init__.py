@@ -16,9 +16,10 @@ Submodules:
 Permutations are dicts of moved points, and the few loops that work on
 those dicts directly live beside their callers (``perm``, ``ragged`` and
 ``witness``).  Two computations use numpy arrays: the count of the
-witness's forbidden set, on an image table over the support of the entry
-set C, and ``finite``'s word-value vectors and family bitmasks over a
-group's multiplication table.
+witness's forbidden set, which sorts the rows of an image table over the
+support of the entry set C as 8-byte integer keys, and ``finite``'s
+word-value vectors and family bitmasks over a group's multiplication
+table.
 """
 
 __version__ = "0.1.0"

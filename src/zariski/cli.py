@@ -1,7 +1,8 @@
 """Reproducible experiment runner.
 
-Every subcommand consumes a 64-bit seed plus explicit bounds, runs its
-checks, and emits a machine-readable report.  All randomness flows through
+Every subcommand but ``finite-check`` consumes a 64-bit unsigned seed;
+each takes explicit bounds, runs its checks, and emits a machine-readable
+report.  All randomness flows through
 ``random.Random`` (Mersenne Twister) seeded from the config, so identical
 invocations produce identical reports; the JSON format carries a
 ``wall_time_s`` field, which is the only non-deterministic part.
@@ -384,20 +385,26 @@ def _emit(report: dict, args) -> None:
 
 # --- parser ------------------------------------------------------------------
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _at_least(low: int, below: int | None = None):
+    """argparse type: an integer no smaller than ``low`` and, if ``below``
+    is given, smaller than ``below``."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(
+                f"must be below {below}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in its messages
     return parse
 
 
 def _add_common(sub, cases_default: int):
-    sub.add_argument("--seed", type=int, default=0,
+    # Random(-n) repeats the stream of Random(n), so negative seeds are
+    # refused rather than silently aliased
+    sub.add_argument("--seed", type=_at_least(0, 2 ** 64), default=0,
                      help="64-bit unsigned seed for all randomness")
     sub.add_argument("--cases", type=_at_least(0), default=cases_default,
                      help="number of random cases / samples")

@@ -56,25 +56,42 @@ def _count_seven_parts(entries) -> int:
     Each part fixes every point outside the support S of C, so an element
     is determined by its image row on S, with every point relabelled by its
     index in S; the count is the number of distinct rows, and the identity
-    is the row 0..|S|-1."""
+    is the row 0..|S|-1.
+
+    Each row is padded with fixed points to a whole number of 8-byte words
+    and read as uint64 keys: one word per row (|S| <= 8 on uint8 entries)
+    is sorted directly, more words are sorted with ``np.lexsort``, and the
+    count is 1 plus the number of adjacent rows that differ.  The padded
+    width still fits the entry dtype, since 256 and 65,536 are multiples
+    of the 8 and 4 entries of a word."""
     support = sorted(set().union(*(e._map for e in entries)))
     n = len(support)
     if n == 0:  # C holds at most the identity
         return 1
     index = {s: i for i, s in enumerate(support)}
-    ident = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    dtype = np.min_scalar_type(n - 1)
+    per_word = 8 // dtype.itemsize
+    ident = np.arange(-(-n // per_word) * per_word, dtype=dtype)
     c = np.tile(ident, (len(entries), 1))
     for row, e in zip(c, entries):
         for x, y in e._map.items():
             row[index[x]] = index[y]
-    moves = np.concatenate([c, np.argsort(c, axis=1).astype(c.dtype)])
-    # products[p, q, x] = moves[q, moves[p, x]]: the left-to-right product
-    # of every ordered pair of moves
-    m = len(moves)
-    products = moves[np.arange(m)[None, :, None], moves[:, None, :]]
-    rows = np.concatenate([ident[None], moves, products.reshape(m * m, n)])
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * n)))
-    return len(np.unique(keys))
+    moves = np.concatenate([c, np.argsort(c, axis=1).astype(dtype)])
+    m, width = moves.shape
+    rows = np.empty((1 + m + m * m, width), dtype)
+    rows[0] = ident
+    rows[1:m + 1] = moves
+    # rows[1 + m + q*m + p, x] = moves[q, moves[p, x]]: the left-to-right
+    # product of every ordered pair of moves, written in place; every index
+    # is in range, and mode="clip" skips the buffered copy of "raise"
+    np.take(moves, moves, axis=1, out=rows[1 + m:].reshape(m, m, width),
+            mode="clip")
+    keys = rows.view(np.uint64)
+    if keys.shape[1] == 1:
+        keys.sort(axis=0)
+    else:
+        keys = keys[np.lexsort(keys.T)]
+    return 1 + int(np.count_nonzero((keys[1:] != keys[:-1]).any(axis=1)))
 
 
 @dataclass(frozen=True)

@@ -266,13 +266,18 @@ def test_usage_error_exits_2(tmp_path, capsys):
                  ["witness", "--random", "--cases", "-1"],
                  ["separate", "--bound-N", "-1"],
                  ["intersect", "--random", "--support", "-2"],
+                 ["intersect", "--random", "--seed", "-5"],
+                 ["witness", "--random", "--seed", str(2 ** 64)],
                  ["finite-check", "--group", "S3", "--max-degree", "-1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
     assert main(["witness"]) == 2  # no input and no --random
     assert main(["separate", "--m-min", "5", "--m-max", "2"]) == 2
-    assert "must be at least" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be at least" in err and "must be below" in err
+    assert main(["witness", "--random", "--cases", "0",
+                 "--seed", str(2 ** 64 - 1)]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -64,7 +64,7 @@ def test_forbidden_set_examples():
 
 @st.composite
 def _perms(draw):
-    points = draw(st.lists(st.integers(0, 5), unique=True, max_size=6))
+    points = draw(st.lists(st.integers(0, 11), unique=True, max_size=12))
     return dict(zip(points, draw(st.permutations(points))))
 
 
@@ -82,6 +82,22 @@ def test_forbidden_set_property(maps, offset):
     trace = WitnessTrace(separators=(), entries=entries, steps=(),
                          final=IDENTITY)
     assert trace.forbidden_size == len(expected)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 255, 256, 257])
+def test_forbidden_set_word_boundaries(n):
+    # supports on either side of one 8-byte key word and of the uint8
+    # table; the transposition of the last two points agrees with the
+    # identity on every key word but the last
+    points = [x + 1000 for x in range(n)]
+    rng = random.Random(n)
+    entries = frozenset([
+        FinPermutation(dict(zip(points, points[1:] + points[:1]))),
+        FinPermutation(dict(zip(points, rng.sample(points, n)))),
+        transposition(points[-2], points[-1])])
+    trace = WitnessTrace(separators=(), entries=entries, steps=(),
+                         final=IDENTITY)
+    assert trace.forbidden_size == len(_brute_seven_parts(entries))
 
 
 def test_witness_trace_matches_hand_run():
