@@ -18,8 +18,10 @@ those dicts directly live beside their callers (``perm``, ``ragged`` and
 ``witness``).  Two computations use numpy arrays: the count of the
 witness's forbidden set, which sorts the rows of an image table over the
 support of the entry set C as 8-byte integer keys, and ``finite``'s
-word-value vectors and family bitmasks over a group's multiplication
-table.
+families over a group's multiplication table.  ``finite`` builds the value
+vectors of the words with leading coefficient 1 only, from the identity
+row up, and moves every constant left factor a to the other side: a*w
+differs from f, or from 1, where w differs from a^-1*f, or from a^-1.
 """
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from zariski.errors import (EmptyInput, InvalidAdjuster, TooLarge,
                             UnknownGroup, ZariskiError)
 from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY
-from zariski.randgen import (DEFAULT_ADJUSTER, rand_gelement, rand_perm,
-                             rand_proper_pair)
+from zariski.randgen import (DEFAULT_ADJUSTER, rand_gelement,
+                             rand_moving_perm, rand_perm, rand_proper_pair)
 from zariski.ragged import (MatrixPair, membership, normal_membership,
                             normalize_steps, pair_from_json, pair_to_json,
                             signature, stack)
@@ -43,9 +43,11 @@ def _load_json(path: str):
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integer literals past Python's digit limit
         raise ParseFailure(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
@@ -254,8 +256,8 @@ def cmd_symcheck(args) -> dict:
     total_d = ok_d = 0
     for _ in range(args.cases):
         x = rng.randint(0, 4)
-        f = _moving_perm(rng, args.support, x)
-        g = _moving_perm(rng, args.support, x)
+        f = rand_moving_perm(rng, args.support, x)
+        g = rand_moving_perm(rng, args.support, x)
         phi, h = maximal_decompose(f, g, x)
         total_d += 1
         if (in_U(SubbasicSet(x, x), phi) and in_U(SubbasicSet(x, x), h)
@@ -265,13 +267,6 @@ def cmd_symcheck(args) -> dict:
               "passed": ok_d, "pass": ok_d == total_d}
     return _report("symcheck", _config(args, ["seed", "cases", "support"]),
                    [sweep, decomp])
-
-
-def _moving_perm(rng: Random, support: int, x: int) -> FinPermutation:
-    while True:
-        f = rand_perm(rng, support)
-        if f.apply(x) != x:
-            return f
 
 
 # --- finite-check ------------------------------------------------------------

@@ -5,11 +5,14 @@ module pins the definitional code paths (word evaluation, basic-set
 families, topology closure) against exhaustive enumeration on groups small
 enough to enumerate completely.
 
-Families of basic sets are computed as sets of bitmasks over the carrier
-{0, ..., order-1}.  The semigroup family enumerates pairs of words; since
-left-multiplying both words of a pair by the same element does not change
-the set where they differ, the left word's leading coefficient is fixed to
-the identity (validated against the fully naive enumeration in the tests).
+Families of basic sets are sets of int64 bitmasks over the carrier
+{0, ..., order-1}, so a carrier of more than 63 elements is refused.  Both
+families enumerate only the words w with leading coefficient 1, from the
+identity row up; any other word is a*w.  A pair's difference set does not
+change when both words are left-multiplied by one element, so the semigroup
+family pairs each w with every a*w'; and a*w(x) != 1 exactly when
+w(x) != a^-1, so the group family compares each w with every constant.  The
+tests check both against the fully naive enumeration.
 """
 
 from __future__ import annotations
@@ -133,33 +136,25 @@ class SetFamily:
         return len(self.masks)
 
 
-def _word_vectors(M: np.ndarray, level: np.ndarray, occurrences,
-                  d: int) -> np.ndarray:
-    """Value vectors of all words of degree <= d, one row per word and one
-    column per value of x.  ``level`` holds the degree-0 words; each x
-    occurrence reads one of the ``occurrences`` arrays (x itself, or x and
-    x^-1) and is followed by every coefficient in turn."""
+def _word_vectors(M: np.ndarray, one: int, occurrences, d: int) -> np.ndarray:
+    """Value vectors of the words of degree <= d with leading coefficient
+    ``one`` (the identity), one row per word and one column per value of x.
+    Each x occurrence reads one of the ``occurrences`` arrays (x itself, or
+    x and x^-1) and is followed by every coefficient in turn."""
     n = M.shape[0]
-    out = [level]
+    levels = [np.full((1, n), one, dtype=np.int64)]
     for _ in range(d):
-        nxt = []
-        for occ in occurrences:
-            vx = M[level, occ[None, :]]
-            nxt.extend(M[vx, a] for a in range(n))
-        level = np.concatenate(nxt, axis=0)
-        out.append(level)
-    return np.concatenate(out, axis=0)
-
-
-def _masks_of(neq: np.ndarray) -> np.ndarray:
-    pow2 = (1 << np.arange(neq.shape[-1], dtype=np.int64))
-    return (neq * pow2).sum(axis=-1)
+        vx = [M[levels[-1], occ[None, :]] for occ in occurrences]
+        levels.append(np.concatenate([M[v, a] for v in vx for a in range(n)]))
+    return np.concatenate(levels)
 
 
 def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     """All sets {x : f(x) != g(x)} over pairs of semigroup words of degree
     at most d."""
     n = table.order
+    if n > 63:
+        raise TooLarge(f"carrier of size {n} for 63-bit masks")
     if n ** (d + 1) > ENUMERATION_GUARD:
         raise TooLarge(f"order {n} at degree {d}")
     # words with leading coefficient 1 against words with any leading one
@@ -167,26 +162,29 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     if left * n * left > PAIR_GUARD:
         raise TooLarge(f"{left} x {n * left} word pairs")
     M = np.array(table.mul, dtype=np.int64)
-    xs = (np.arange(n),)
-    F = _word_vectors(M, np.full((1, n), table.id, dtype=np.int64), xs, d)
-    G = _word_vectors(M, np.repeat(np.arange(n)[:, None], n, axis=1), xs, d)
+    F = _word_vectors(M, table.id, (np.arange(n),), d)
+    G = M[:, F].reshape(-1, n)  # row (a, w) holds a*w
+    pow2 = 1 << np.arange(n, dtype=np.int64)
     masks = set()
     for f in F:
-        masks.update(np.unique(_masks_of(f[None, :] != G)).tolist())
-    return SetFamily(table.order, frozenset(masks))
+        masks.update(np.unique((f != G) @ pow2).tolist())
+    return SetFamily(n, frozenset(masks))
 
 
 def group_family(table: FiniteGroupTable, d: int) -> SetFamily:
     """All sets {x : w(x) != 1} over group words of degree at most d."""
+    n = table.order
+    if n > 63:
+        raise TooLarge(f"carrier of size {n} for 63-bit masks")
     if table.order ** (d + 1) * 2 ** d > ENUMERATION_GUARD:
         raise TooLarge(f"order {table.order} at degree {d} with signs")
-    n = table.order
     M = np.array(table.mul, dtype=np.int64)
-    leading = np.repeat(np.arange(n)[:, None], n, axis=1)
     occurrences = (np.arange(n), np.array(table.inv, dtype=np.int64))
-    values = _word_vectors(M, leading, occurrences, d)
-    masks = np.unique(_masks_of(values != table.id))
-    return SetFamily(table.order, frozenset(int(v) for v in masks))
+    F = _word_vectors(M, table.id, occurrences, d)
+    # a*w(x) != 1 exactly when w(x) != a^-1, and a^-1 runs over the carrier
+    pow2 = 1 << np.arange(n, dtype=np.int64)
+    masks = np.unique((F[:, None, :] != np.arange(n)[:, None]) @ pow2)
+    return SetFamily(n, frozenset(masks.tolist()))
 
 
 def topology_close(fam: SetFamily) -> SetFamily:

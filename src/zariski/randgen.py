@@ -28,6 +28,14 @@ def rand_perm(rng: Random, support: int) -> FinPermutation:
     return FinPermutation({i: y for i, y in enumerate(images) if i != y})
 
 
+def rand_moving_perm(rng: Random, support: int, x: int) -> FinPermutation:
+    """Keep drawing ``rand_perm(rng, support)`` until one moves x."""
+    while True:
+        f = rand_perm(rng, support)
+        if f.apply(x) != x:
+            return f
+
+
 def rand_row(rng: Random, max_degree: int, support: int) -> tuple:
     degree = rng.randint(0, max_degree)
     return tuple(rand_perm(rng, support) for _ in range(degree + 1))

@@ -17,8 +17,9 @@ from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY, transposition
 from zariski.ragged import membership, normal_membership, normalize_steps, \
     pair_of_rows, pair_to_json, signature, stack
-from zariski.randgen import (DEFAULT_ADJUSTER, rand_gelement, rand_pair,
-                             rand_perm, rand_proper_pair)
+from zariski.randgen import (DEFAULT_ADJUSTER, rand_gelement,
+                             rand_moving_perm, rand_pair, rand_perm,
+                             rand_proper_pair)
 from zariski.sepgroup import (AllEven, FiniteCandidates, brute_solve_on_Tm,
                               finiteness_bound, g_identity, solve_on_Tm)
 from zariski.symtop import (SubbasicSet, in_U, maximal_decompose,
@@ -161,21 +162,14 @@ def test_criterion_6_symmetric_group_lemmas():
     decompositions = 0
     for _ in range(500):
         x = rng.randint(0, 6)
-        f = _moving(rng, x)
-        g = _moving(rng, x)
+        f = rand_moving_perm(rng, 8, x)
+        g = rand_moving_perm(rng, 8, x)
         phi, h = maximal_decompose(f, g, x)
         assert in_U(SubbasicSet(x, x), phi) and in_U(SubbasicSet(x, x), h)
         assert phi * f * h.inv() == g
         decompositions += 1
     assert decompositions == 500
     _announce(6, "stabilizer equivalence 1200/1200, decomposition 500/500")
-
-
-def _moving(rng, x):
-    while True:
-        f = rand_perm(rng, 8)
-        if f.apply(x) != x:
-            return f
 
 
 def _canonical_without_wall_time(path):

@@ -208,6 +208,15 @@ def test_parse_error_exits_2(tmp_path, capsys):
         for command in ("normalize", "witness"):
             assert main([command, str(bad)]) == 2
             assert problem in capsys.readouterr().err
+    # bytes that are not UTF-8, nesting past the recursion limit, and an
+    # integer literal past Python's 4,300-digit limit
+    for raw in (b'{"A": "\xff"}', b"[" * 100_000, b"1" * 4_301):
+        bad.write_bytes(raw)
+        for command in ("normalize", "witness"):
+            assert main([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid JSON in {bad}: ")
+            assert "Traceback" not in err
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -87,9 +87,27 @@ def naive_semigroup_family(table, d):
     return SetFamily(n, frozenset(masks))
 
 
-@pytest.mark.parametrize("name,d", [("Z2", 1), ("Z3", 1), ("S3", 1), ("Z4", 1)])
+def relabelled_s3():
+    """S3 with its elements permuted so that the identity is not 0."""
+    s3 = builtin("S3")
+    sigma = (3, 5, 0, 4, 1, 2)
+    mul = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            mul[sigma[a]][sigma[b]] = sigma[s3.mul[a][b]]
+    table = FiniteGroupTable(mul)
+    assert table.id == 3
+    return table
+
+
+def table_named(name):
+    return relabelled_s3() if name == "S3-relabelled" else builtin(name)
+
+
+@pytest.mark.parametrize("name,d", [("Z2", 1), ("Z3", 1), ("S3", 1), ("Z4", 1),
+                                    ("S3-relabelled", 1)])
 def test_semigroup_family_matches_naive_enumeration(name, d):
-    table = builtin(name)
+    table = table_named(name)
     assert semigroup_family(table, d).masks == \
         naive_semigroup_family(table, d).masks
 
@@ -112,9 +130,10 @@ def naive_group_family(table, d):
     return SetFamily(n, frozenset(masks))
 
 
-@pytest.mark.parametrize("name,d", [("Z3", 1), ("S3", 1), ("Z4", 2)])
+@pytest.mark.parametrize("name,d", [("Z3", 1), ("S3", 1), ("Z4", 2),
+                                    ("S3-relabelled", 1)])
 def test_group_family_matches_naive_enumeration(name, d):
-    table = builtin(name)
+    table = table_named(name)
     assert group_family(table, d).masks == naive_group_family(table, d).masks
 
 
@@ -141,6 +160,20 @@ def test_enumeration_guards(monkeypatch):
 def test_semigroup_family_s4_degree_two():
     # the largest family inside the guards: 601 x 14,424 word pairs
     assert len(semigroup_family(builtin("S4"), 2)) == 4411
+    assert len(group_family(builtin("S4"), 2)) == 163
+
+
+def test_families_refuse_carriers_wider_than_masks():
+    # masks are int64 bit sets: 63 points fit, 64 do not
+    for n in (63, 64):
+        table = FiniteGroupTable([[(i + j) % n for j in range(n)]
+                                  for i in range(n)])
+        for family in (semigroup_family, group_family):
+            if n == 63:
+                assert family(table, 0).masks == {0, (1 << 63) - 1}
+            else:
+                with pytest.raises(TooLarge, match="carrier of size 64"):
+                    family(table, 0)
 
 
 def test_topology_close():
