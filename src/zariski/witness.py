@@ -26,9 +26,11 @@ from functools import cached_property
 
 import numpy as np
 
-from zariski.errors import NotNormalized, OracleExhausted
+from zariski.errors import NotNormalized, OracleExhausted, TooLarge
 from zariski.perm import FinPermutation, extend, invert_map
 from zariski.ragged import MatrixPair, NormalForm, stack
+
+COUNT_GUARD = 2 ** 28  # bytes of the forbidden-set count's row table
 
 
 def pick_separators(P: MatrixPair) -> tuple:
@@ -63,7 +65,9 @@ def _count_seven_parts(entries) -> int:
     is sorted directly, more words are sorted with ``np.lexsort``, and the
     count is 1 plus the number of adjacent rows that differ.  The padded
     width still fits the entry dtype, since 256 and 65,536 are multiples
-    of the 8 and 4 entries of a word."""
+    of the 8 and 4 entries of a word.  The table holds 1 + m + m^2 rows for
+    the m = 2|C| moves, and one of more than COUNT_GUARD bytes raises
+    TooLarge before anything is built."""
     support = sorted(set().union(*(e._map for e in entries)))
     n = len(support)
     if n == 0:  # C holds at most the identity
@@ -72,12 +76,17 @@ def _count_seven_parts(entries) -> int:
     dtype = np.min_scalar_type(n - 1)
     per_word = 8 // dtype.itemsize
     ident = np.arange(-(-n // per_word) * per_word, dtype=dtype)
+    m = 2 * len(entries)
+    size = (1 + m + m * m) * ident.nbytes
+    if size > COUNT_GUARD:
+        raise TooLarge(f"forbidden-set count of {len(entries)} entries "
+                       f"needs {size} bytes")
     c = np.tile(ident, (len(entries), 1))
     for row, e in zip(c, entries):
         for x, y in e._map.items():
             row[index[x]] = index[y]
     moves = np.concatenate([c, np.argsort(c, axis=1).astype(dtype)])
-    m, width = moves.shape
+    width = moves.shape[1]
     rows = np.empty((1 + m + m * m, width), dtype)
     rows[0] = ident
     rows[1:m + 1] = moves

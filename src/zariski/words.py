@@ -108,27 +108,20 @@ def group_ineq_to_semigroup_pair(w: GroupWord, G: Group) -> IneqPair:
     """Positive words (u, v) with w(x) = 1 iff u(x) = v(x), for every x.
 
     Accepts any degree when all signs agree, and mixed signs up to degree 3.
-    The rewriting: a word with exactly one negative occurrence is rotated
+    A word with more than one negative occurrence is first replaced by its
+    formal inverse (w = 1 iff w^-1 = 1), which leaves at most one negative
+    occurrence up to degree 3.  A positive word is then paired with the
+    constant 1, and a word with one negative occurrence is rotated
     (uv = 1 iff vu = 1) so the lone x^{-1} moves to the front and cancels
-    against a plain x on the other side; more negatives than positives are
-    first cleared by passing to the formal inverse.  Degree >= 4 with mixed
-    signs has no such rewriting here and raises IrreducibleSignature.
+    against a plain x on the other side.  Degree >= 4 with mixed signs has
+    no such rewriting here and raises IrreducibleSignature.
     """
-    negs = sum(1 for s in w.signs if s < 0)
+    negs = w.signs.count(-1)
     if w.degree >= 4 and 0 < negs < w.degree:
         raise IrreducibleSignature(
             f"degree {w.degree} with {negs} negative signs")
-    if negs == 0:
+    if negs > 1:
+        w = formal_inverse(w, G)
+    if -1 not in w.signs:
         return IneqPair(SemigroupWord(w.coefficients), SemigroupWord((G.one(),)))
-    if negs == 1:
-        return _rotate_unique_negative(w, G)
-    inv = formal_inverse(w, G)
-    remaining = sum(1 for s in inv.signs if s < 0)
-    if remaining == 0:
-        return IneqPair(SemigroupWord(inv.coefficients),
-                        SemigroupWord((G.one(),)))
-    if remaining == 1:
-        return _rotate_unique_negative(inv, G)
-    raise IrreducibleSignature(  # unreachable for degree <= 3
-        f"degree {w.degree} with {negs} negative signs")
-
+    return _rotate_unique_negative(w, G)

@@ -180,6 +180,16 @@ def test_finite_check_too_large(capsys, monkeypatch):
     assert degrees == [3]
 
 
+def test_forbidden_set_count_too_large_exits_2(capsys):
+    # 4,043 entries on 10 points: the count's row table would take 1 GB
+    argv = ["witness", "--random", "--rows", "40", "--max-degree", "150",
+            "--support", "10", "--cases", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: forbidden-set count of ")
+    assert "Traceback" not in err
+
+
 def test_unknown_group_exits_2(capsys):
     assert main(["finite-check", "--group", "Q8"]) == 2
     capsys.readouterr()

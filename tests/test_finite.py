@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zariski import finite
 from zariski.errors import CarrierMismatch, TooLarge, UnknownGroup
@@ -186,6 +187,48 @@ def test_topology_close():
     assert len(closed) == 2 ** n
     again = topology_close(closed)
     assert again.masks == closed.masks  # idempotent
+
+
+def definitional_topology(fam):
+    """A subset is open iff it is the union of the finite intersections of
+    members that it contains; the whole carrier is the empty intersection."""
+    full = (1 << fam.order) - 1
+    meets = {full}
+    while True:
+        more = meets | {a & m for a in meets for m in fam.masks}
+        if more == meets:
+            break
+        meets = more
+    opens = set()
+    for o in range(full + 1):
+        union = 0
+        for i in meets:
+            if i & ~o == 0:
+                union |= i
+        if union == o:
+            opens.add(o)
+    return opens
+
+
+@st.composite
+def families(draw):
+    n = draw(st.integers(0, 6))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    return SetFamily(n, frozenset(masks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=families())
+def test_topology_close_matches_definition(fam):
+    assert topology_close(fam).masks == definitional_topology(fam)
+
+
+def test_closure_guard(monkeypatch):
+    monkeypatch.setattr(finite, "CLOSURE_GUARD", 100)
+    n = 8
+    co_singletons = frozenset(((1 << n) - 1) ^ (1 << i) for i in range(n))
+    with pytest.raises(TooLarge, match="closure exceeds the size guard"):
+        topology_close(SetFamily(n, co_singletons))
 
 
 def test_family_subset():

@@ -8,7 +8,7 @@ import pytest
 
 from zariski.errors import FixedPoint, InvalidPair
 from zariski.perm import FinPermutation, IDENTITY, transposition
-from zariski.randgen import rand_perm
+from zariski.randgen import rand_moving_perm
 from zariski.symtop import (SubbasicSet, in_U, maximal_decompose,
                             setwise_stabilizes, stab_by_commutation)
 
@@ -65,19 +65,12 @@ def test_maximal_decompose_random():
     rng = random.Random(77)
     for _ in range(200):
         x = rng.randint(0, 5)
-        f = _moving(rng, x)
-        g = _moving(rng, x)
+        f = rand_moving_perm(rng, 8, x)
+        g = rand_moving_perm(rng, 8, x)
         phi, h = maximal_decompose(f, g, x)
         assert in_U(SubbasicSet(x, x), phi)
         assert in_U(SubbasicSet(x, x), h)
         assert phi * f * h.inv() == g
-
-
-def _moving(rng, x):
-    while True:
-        f = rand_perm(rng, 8)
-        if f.apply(x) != x:
-            return f
 
 
 def test_maximal_decompose_fixed_point_errors():
