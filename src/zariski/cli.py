@@ -7,8 +7,10 @@ report.  All randomness flows through
 invocations produce identical reports; the JSON format carries a
 ``wall_time_s`` field, which is the only non-deterministic part.
 
-Exit codes: 0 all cases pass; 1 some case failed (or the input set is
-empty); 2 usage, parse, or enumeration-guard errors.
+Exit codes: 0 all cases pass.  1 a case failed, the input set is empty,
+or the package raised another error.  2 malformed or unreadable input, an
+out-of-range option, an empty ``separate`` range, an enumeration guard, the
+forbidden-set count guard, or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import sys
 import time
 from random import Random
 
-from zariski.errors import (EmptyInput, InvalidAdjuster, TooLarge,
-                            UnknownGroup, ZariskiError)
+from zariski.errors import EmptyInput, TooLarge, UnknownGroup, ZariskiError
 from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY
 from zariski.randgen import (DEFAULT_ADJUSTER, rand_gelement,
@@ -72,21 +73,6 @@ def _load_pair(path: str) -> MatrixPair:
         raise ParseFailure(f"{path}: malformed matrix pair: {exc}") from exc
 
 
-def _config(args, keys) -> dict:
-    return {k: getattr(args, k.replace("-", "_")) for k in keys}
-
-
-def _report(command: str, config: dict, cases: list) -> dict:
-    failed = sum(1 for c in cases if not c.get("pass", True))
-    return {
-        "command": command,
-        "config": config,
-        "cases": cases,
-        "summary": {"cases": len(cases), "pass": len(cases) - failed,
-                    "fail": failed},
-    }
-
-
 # --- normalize -------------------------------------------------------------
 
 def _signature_monotone(start, steps) -> bool:
@@ -106,13 +92,14 @@ def _signature_monotone(start, steps) -> bool:
     return True
 
 
-def _normalize_case(pair: MatrixPair, rng: Random, samples: int,
-                    support: int) -> dict:
+def cmd_normalize(args) -> list:
+    pair = _load_pair(args.input)
+    rng = Random(args.seed)
     form, steps = normalize_steps(pair, SYM, DEFAULT_ADJUSTER)
     monotone = _signature_monotone(signature(pair), steps)
     agree = all(
         membership(pair, x, SYM) == normal_membership(form, x, SYM)
-        for x in (rand_perm(rng, support) for _ in range(samples)))
+        for x in (rand_perm(rng, args.support) for _ in range(args.cases)))
     record = {
         "form": form.tag,
         "steps": [{"kind": s.kind, "row": s.row,
@@ -124,16 +111,7 @@ def _normalize_case(pair: MatrixPair, rng: Random, samples: int,
     if form.is_proper:
         record["normalized"] = pair_to_json(form.pair)
         record["conditions"] = "leading entries differ, positive degree per row"
-    return record
-
-
-def cmd_normalize(args) -> dict:
-    pair = _load_pair(args.input)
-    rng = Random(args.seed)
-    case = _normalize_case(pair, rng, args.cases, args.support)
-    return _report("normalize",
-                   _config(args, ["seed", "cases", "support"]),
-                   [case])
+    return [record]
 
 
 # --- witness / intersect ---------------------------------------------------
@@ -168,7 +146,7 @@ def _witness_case(pairs: list) -> dict:
     }
 
 
-def cmd_witness(args) -> dict:
+def cmd_witness(args) -> list:
     """Serves both ``witness`` (one input set) and ``intersect`` (two)."""
     arity = 1 if args.command == "witness" else 2
     rng = Random(args.seed)
@@ -187,10 +165,7 @@ def cmd_witness(args) -> dict:
                                "or --random")
         pairs = [_load_pair(p) for p in paths]
         cases.append(_witness_case(pairs))
-    return _report(args.command,
-                   _config(args, ["seed", "cases", "rows", "max-degree",
-                                  "support"]),
-                   cases)
+    return cases
 
 
 # --- separate ----------------------------------------------------------------
@@ -215,9 +190,7 @@ def _separate_case(a, p, m, bound_n) -> dict:
     }
 
 
-def cmd_separate(args) -> dict:
-    if args.m_min < 2:
-        raise ParseFailure("--m-min must be at least 2")
+def cmd_separate(args) -> list:
     if args.m_max < args.m_min:
         raise ParseFailure(f"--m-max ({args.m_max}) must be at least "
                            f"--m-min ({args.m_min})")
@@ -230,15 +203,12 @@ def cmd_separate(args) -> dict:
                 cases.append(_separate_case(a, p, m, args.bound_N))
         # torsion row: x^m = 1 on T_m is exactly the even indices
         cases.append(_separate_case(g_identity(), m, m, args.bound_N))
-    return _report("separate",
-                   _config(args, ["seed", "cases", "m-min", "m-max",
-                                  "bound-N"]),
-                   cases)
+    return cases
 
 
 # --- symcheck ----------------------------------------------------------------
 
-def cmd_symcheck(args) -> dict:
+def cmd_symcheck(args) -> list:
     # exhaustive: the commutation test agrees with the setwise-stabilizer
     # test for all permutations of {0..4} and all pairs x < y < 5
     total = ok = 0
@@ -265,8 +235,7 @@ def cmd_symcheck(args) -> dict:
             ok_d += 1
     decomp = {"check": "maximal_decomposition", "total": total_d,
               "passed": ok_d, "pass": ok_d == total_d}
-    return _report("symcheck", _config(args, ["seed", "cases", "support"]),
-                   [sweep, decomp])
+    return [sweep, decomp]
 
 
 # --- finite-check ------------------------------------------------------------
@@ -292,7 +261,7 @@ def _reduction_mismatches(table, d: int) -> list:
     return mismatches
 
 
-def cmd_finite_check(args) -> dict:
+def cmd_finite_check(args) -> list:
     table = finite.builtin(args.group)
     d = args.max_degree
     # every enumeration guard grows with the degree, so the degree-d
@@ -331,8 +300,7 @@ def cmd_finite_check(args) -> dict:
                       and not record["reduction_mismatches"]
                       and record.get("semigroup_subset_of_group", True)
                       and record.get("families_equal", True))
-    return _report("finite-check", _config(args, ["group", "max-degree"]),
-                   [record])
+    return [record]
 
 
 # --- rendering ---------------------------------------------------------------
@@ -342,7 +310,7 @@ def _render_table(report: dict) -> str:
     cfg = " ".join(f"{k}={v}" for k, v in sorted(report["config"].items()))
     lines.append(f"config: {cfg}")
     for i, case in enumerate(report["cases"]):
-        status = "pass" if case.get("pass", True) else "FAIL"
+        status = "pass" if case["pass"] else "FAIL"
         detail = " ".join(
             f"{k}={json.dumps(v, sort_keys=True)}"
             for k, v in sorted(case.items())
@@ -396,15 +364,21 @@ def _at_least(low: int, below: int | None = None):
     return parse
 
 
-def _add_common(sub, cases_default: int):
+def _add_command(subs, name: str, func, helptext: str):
+    p = subs.add_parser(name, help=helptext)
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.add_argument("--out", default=None, help="write the report to a file")
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_seeded(sub, cases_default: int):
     # Random(-n) repeats the stream of Random(n), so negative seeds are
     # refused rather than silently aliased
     sub.add_argument("--seed", type=_at_least(0, 2 ** 64), default=0,
                      help="64-bit unsigned seed for all randomness")
     sub.add_argument("--cases", type=_at_least(0), default=cases_default,
                      help="number of random cases / samples")
-    sub.add_argument("--format", choices=("json", "table"), default="json")
-    sub.add_argument("--out", default=None, help="write the report to a file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,71 +387,80 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded experiments on Zariski-type topologies on groups.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("normalize", help="normalize a ragged matrix pair")
+    p = _add_command(subs, "normalize", cmd_normalize,
+                     "normalize a ragged matrix pair")
     p.add_argument("input", help="matrix-pair JSON file ('-' for stdin)")
-    _add_common(p, 200)
+    _add_seeded(p, 200)
     p.add_argument("--support", type=_at_least(0), default=8)
-    p.set_defaults(func=cmd_normalize)
 
     for name, helptext in (
             ("witness", "construct a witness inside one basic set"),
             ("intersect", "witness the intersection of two basic sets")):
-        p = subs.add_parser(name, help=helptext)
+        p = _add_command(subs, name, cmd_witness, helptext)
         p.add_argument("input", nargs="?", default=None,
                        help="matrix-pair JSON file")
         p.add_argument("input2", nargs="?", default=None,
                        help="second matrix-pair JSON file")
         p.add_argument("--random", action="store_true",
                        help="generate random normalized pairs instead")
-        _add_common(p, 100)
+        _add_seeded(p, 100)
         p.add_argument("--rows", type=_at_least(1), default=3)
         p.add_argument("--max-degree", type=_at_least(1), default=3)
         p.add_argument("--support", type=_at_least(0), default=8)
-        p.set_defaults(func=cmd_witness)
 
-    p = subs.add_parser("separate",
-                        help="finite/cofinite dichotomy in the separating group")
-    _add_common(p, 100)
-    p.add_argument("--m-min", type=int, default=2)
+    p = _add_command(subs, "separate", cmd_separate,
+                     "finite/cofinite dichotomy in the separating group")
+    _add_seeded(p, 100)
+    p.add_argument("--m-min", type=_at_least(2), default=2)
     p.add_argument("--m-max", type=int, default=5)
     p.add_argument("--bound-N", type=_at_least(0), default=200, dest="bound_N")
-    p.set_defaults(func=cmd_separate)
 
-    p = subs.add_parser("symcheck",
-                        help="stabilizer and decomposition checks on Sym")
-    _add_common(p, 500)
+    p = _add_command(subs, "symcheck", cmd_symcheck,
+                     "stabilizer and decomposition checks on Sym")
+    _add_seeded(p, 500)
     # the decompositions draw base points from {0..4}, and a permutation
     # of {0..support-1} must be able to move each of them
     p.add_argument("--support", type=_at_least(5), default=8)
-    p.set_defaults(func=cmd_symcheck)
 
-    p = subs.add_parser("finite-check",
-                        help="exhaustive family checks on a finite group")
+    p = _add_command(subs, "finite-check", cmd_finite_check,
+                     "exhaustive family checks on a finite group")
     p.add_argument("--group", required=True)
     p.add_argument("--max-degree", type=_at_least(0), default=2)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_finite_check)
 
     return parser
 
 
+# parsed arguments that are not settings of the run: the subcommand, its
+# inputs and its output
+_NOT_CONFIG = frozenset({"command", "func", "input", "input2", "random",
+                         "format", "out"})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    config = {k.replace("_", "-"): v for k, v in vars(args).items()
+              if k not in _NOT_CONFIG}
     started = time.perf_counter()
     try:
-        report = args.func(args)
+        cases = args.func(args)
+        failed = sum(1 for c in cases if not c["pass"])
+        report = {
+            "command": args.command,
+            "config": config,
+            "cases": cases,
+            "summary": {"cases": len(cases), "pass": len(cases) - failed,
+                        "fail": failed},
+        }
         if args.format == "json":
             report["wall_time_s"] = round(time.perf_counter() - started, 6)
         _emit(report, args)
-    except (ParseFailure, TooLarge, UnknownGroup, InvalidAdjuster) as exc:
+    except (ParseFailure, TooLarge, UnknownGroup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZariskiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0 if report["summary"]["fail"] == 0 else 1
+    return 0 if failed == 0 else 1
 
 
 if __name__ == "__main__":

@@ -32,6 +32,10 @@ from zariski.groups import Group
 ENUMERATION_GUARD = 10 ** 6
 PAIR_GUARD = 5 * 10 ** 7
 CLOSURE_GUARD = 2 ** 20
+# the guards compare powers with exponents capped here: capping leaves a
+# power of 1 unchanged and keeps one of a base >= 2 at least 2 ** 64, above
+# every guard, so a huge degree is refused without building a huge integer
+_EXPONENT_CAP = 64
 
 
 class FiniteGroupTable:
@@ -159,10 +163,10 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     n = table.order
     if n > 63:
         raise TooLarge(f"carrier of size {n} for 63-bit masks")
-    if n ** (d + 1) > ENUMERATION_GUARD:
+    if n ** min(d + 1, _EXPONENT_CAP) > ENUMERATION_GUARD:
         raise TooLarge(f"order {n} at degree {d}")
     # words with leading coefficient 1 against words with any leading one
-    left = sum(n ** e for e in range(d + 1))
+    left = d + 1 if n == 1 else (n ** (d + 1) - 1) // (n - 1)
     if left * n * left > PAIR_GUARD:
         raise TooLarge(f"{left} x {n * left} word pairs")
     M = np.array(table.mul, dtype=np.int64)
@@ -180,8 +184,9 @@ def group_family(table: FiniteGroupTable, d: int) -> SetFamily:
     n = table.order
     if n > 63:
         raise TooLarge(f"carrier of size {n} for 63-bit masks")
-    if table.order ** (d + 1) * 2 ** d > ENUMERATION_GUARD:
-        raise TooLarge(f"order {table.order} at degree {d} with signs")
+    if (n ** min(d + 1, _EXPONENT_CAP) * 2 ** min(d, _EXPONENT_CAP)
+            > ENUMERATION_GUARD):
+        raise TooLarge(f"order {n} at degree {d} with signs")
     M = np.array(table.mul, dtype=np.int64)
     occurrences = (np.arange(n), np.array(table.inv, dtype=np.int64))
     F = _word_vectors(M, table.id, occurrences, d)

@@ -29,7 +29,14 @@ def rand_perm(rng: Random, support: int) -> FinPermutation:
 
 
 def rand_moving_perm(rng: Random, support: int, x: int) -> FinPermutation:
-    """Keep drawing ``rand_perm(rng, support)`` until one moves x."""
+    """Keep drawing ``rand_perm(rng, support)`` until one moves x.
+
+    Only a point of {0, ..., support-1}, with at least two points, can be
+    moved, so any other x or support is rejected up front.
+    """
+    if not 0 <= x < support or support < 2:
+        raise InfeasibleBounds(
+            f"no permutation of {{0, ..., {support - 1}}} moves {x}")
     while True:
         f = rand_perm(rng, support)
         if f.apply(x) != x:

@@ -11,10 +11,10 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from zariski import cli, finite
 from zariski.cli import main
-from zariski.errors import ZariskiError
+from zariski.errors import InfeasibleBounds, ZariskiError
 from zariski.perm import IDENTITY, transposition
 from zariski.ragged import NormStep, pair_of_rows, pair_to_json, signature
-from zariski.randgen import rand_proper_pair
+from zariski.randgen import rand_moving_perm, rand_proper_pair
 from zariski.witness import SymOmegaOracle
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -166,6 +166,31 @@ def test_finite_check(tmp_path):
     assert case["families_equal"] and case["reduction_mismatches"] == []
 
 
+def test_config_lists_every_option(tmp_path):
+    # the config holds every option of the run, and no input or output one
+    pair = write_pair(tmp_path, COMMUTE)
+    seeded = ["--seed", "5", "--cases", "2", "--support", "6"]
+    seeded_config = {"seed": 5, "cases": 2, "support": 6}
+    sampled = seeded + ["--rows", "2", "--max-degree", "2"]
+    sampled_config = {**seeded_config, "rows": 2, "max-degree": 2}
+    for argv, config in (
+            (["normalize", pair, *seeded], seeded_config),
+            (["witness", pair, *sampled], sampled_config),
+            (["witness", "--random", *sampled], sampled_config),
+            (["intersect", pair, pair, *sampled], sampled_config),
+            (["intersect", "--random", *sampled], sampled_config),
+            (["separate", "--seed", "5", "--cases", "1", "--m-min", "3",
+              "--m-max", "4", "--bound-N", "20"],
+             {"seed": 5, "cases": 1, "m-min": 3, "m-max": 4, "bound-N": 20}),
+            (["symcheck", *seeded], seeded_config),
+            (["finite-check", "--group", "z3", "--max-degree", "1",
+              "--format", "json"],
+             {"group": "z3", "max-degree": 1})):
+        code, report = run_json(tmp_path, argv)
+        assert code == 0, argv
+        assert report["config"] == config, argv
+
+
 def test_finite_check_too_large(capsys, monkeypatch):
     # the degree-d families are enumerated first, so an oversized run
     # fails before any family of a smaller degree is built
@@ -284,6 +309,7 @@ def test_usage_error_exits_2(tmp_path, capsys):
                  ["witness", "--random", "--rows", "0"],
                  ["witness", "--random", "--cases", "-1"],
                  ["separate", "--bound-N", "-1"],
+                 ["separate", "--m-min", "1"],
                  ["intersect", "--random", "--support", "-2"],
                  ["intersect", "--random", "--seed", "-5"],
                  ["witness", "--random", "--seed", str(2 ** 64)],
@@ -314,10 +340,26 @@ def test_former_hangs_exit_2(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_huge_degree_finite_check_exits_2():
+    # the enumeration guards must not build the power n ** (d + 1)
+    argv = ["finite-check", "--group", "S4", "--max-degree", "100000000000"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "zariski.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+
+
 def test_sampler_rejects_infeasible_bounds():
     for rows, degree in ((0, 3), (3, 0)):
         with pytest.raises(ZariskiError):
             rand_proper_pair(Random(0), rows, degree, 8)
+    # x outside {0, ..., support-1}, or fewer than two points to move it
+    for support, x in ((3, 4), (3, 3), (3, -1), (1, 0), (0, 0)):
+        with pytest.raises(InfeasibleBounds):
+            rand_moving_perm(Random(0), support, x)
 
 
 def strip_wall_time(text):
