@@ -9,8 +9,8 @@ invocations produce identical reports; the JSON format carries a
 
 Exit codes: 0 all cases pass.  1 a case failed, the input set is empty,
 or the package raised another error.  2 malformed or unreadable input, an
-out-of-range option, an empty ``separate`` range, an enumeration guard, the
-forbidden-set count guard, or a report that cannot be written.
+out-of-range option, an empty ``separate`` range, an enumeration guard, or
+a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -38,6 +38,17 @@ from zariski.symtop import (maximal_decompose, setwise_stabilizes,
 from zariski.witness import construct_witness, symw_oracle
 from zariski import finite
 from zariski import words as words_mod
+
+
+# Largest accepted sampling sizes.  Time and memory grow with each, and a
+# huge value ran out of memory or ran for hours; at the caps one case takes
+# a few seconds at most.
+MAX_SUPPORT = 4096
+MAX_ROWS = MAX_DEGREE = 256
+MAX_M = 32
+MAX_BOUND_N = 65536
+# a random pair's entries move at most 2 x this many points in all
+MAX_SAMPLED = 2 ** 20
 
 
 def _load_json(path: str):
@@ -154,6 +165,11 @@ def cmd_witness(args) -> list:
     if args.random:
         if args.input or args.input2:
             raise ParseFailure("cannot mix --random with input files")
+        points = args.rows * (args.max_degree + 1) * args.support
+        if points > MAX_SAMPLED:
+            raise ParseFailure(
+                "--rows x (--max-degree + 1) x --support must be at most "
+                f"{MAX_SAMPLED}, got {points}")
         for _ in range(args.cases):
             pairs = [rand_proper_pair(rng, args.rows, args.max_degree,
                                       args.support) for _ in range(arity)]
@@ -391,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "normalize a ragged matrix pair")
     p.add_argument("input", help="matrix-pair JSON file ('-' for stdin)")
     _add_seeded(p, 200)
-    p.add_argument("--support", type=_at_least(0), default=8)
+    p.add_argument("--support", type=_at_least(0, MAX_SUPPORT + 1), default=8)
 
     for name, helptext in (
             ("witness", "construct a witness inside one basic set"),
@@ -404,23 +420,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--random", action="store_true",
                        help="generate random normalized pairs instead")
         _add_seeded(p, 100)
-        p.add_argument("--rows", type=_at_least(1), default=3)
-        p.add_argument("--max-degree", type=_at_least(1), default=3)
-        p.add_argument("--support", type=_at_least(0), default=8)
+        p.add_argument("--rows", type=_at_least(1, MAX_ROWS + 1), default=3)
+        p.add_argument("--max-degree", type=_at_least(1, MAX_DEGREE + 1),
+                       default=3)
+        p.add_argument("--support", type=_at_least(0, MAX_SUPPORT + 1),
+                       default=8)
 
     p = _add_command(subs, "separate", cmd_separate,
                      "finite/cofinite dichotomy in the separating group")
     _add_seeded(p, 100)
     p.add_argument("--m-min", type=_at_least(2), default=2)
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--bound-N", type=_at_least(0), default=200, dest="bound_N")
+    p.add_argument("--m-max", type=_at_least(2, MAX_M + 1), default=5)
+    p.add_argument("--bound-N", type=_at_least(0, MAX_BOUND_N + 1),
+                   default=200, dest="bound_N")
 
     p = _add_command(subs, "symcheck", cmd_symcheck,
                      "stabilizer and decomposition checks on Sym")
     _add_seeded(p, 500)
     # the decompositions draw base points from {0..4}, and a permutation
     # of {0..support-1} must be able to move each of them
-    p.add_argument("--support", type=_at_least(5), default=8)
+    p.add_argument("--support", type=_at_least(5, MAX_SUPPORT + 1), default=8)
 
     p = _add_command(subs, "finite-check", cmd_finite_check,
                      "exhaustive family checks on a finite group")

@@ -12,7 +12,8 @@ Each fresh image avoids one forbidden set: the translates, under the
 seven-part product set of the entries, of every separator, every stuck
 point and every image chosen so far.  The set only grows, so each step
 adds the translates of its stuck point before the image is chosen and
-those of the image after.
+those of the image after.  The trace reports the number of points in the
+set when the loop ends as ``forbidden_size``.
 
 The group enters only through a small oracle interface, so the loop
 itself is group-agnostic; the shipped oracle models the finitary symmetric
@@ -22,15 +23,10 @@ group on N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-import numpy as np
-
-from zariski.errors import NotNormalized, OracleExhausted, TooLarge
+from zariski.errors import NotNormalized, OracleExhausted
 from zariski.perm import FinPermutation, extend, invert_map
 from zariski.ragged import MatrixPair, NormalForm, stack
-
-COUNT_GUARD = 2 ** 28  # bytes of the forbidden-set count's row table
 
 
 def pick_separators(P: MatrixPair) -> tuple:
@@ -47,62 +43,6 @@ def pick_separators(P: MatrixPair) -> tuple:
     return tuple(seps)
 
 
-def _entries(P: MatrixPair) -> frozenset:
-    """The entry set C of A and B."""
-    return frozenset(c for row in P.A.rows + P.B.rows for c in row)
-
-
-def _count_seven_parts(entries) -> int:
-    """|{1} u C u C^-1 u CC u CC^-1 u C^-1C u C^-1C^-1| for the entry set C.
-
-    Each part fixes every point outside the support S of C, so an element
-    is determined by its image row on S, with every point relabelled by its
-    index in S; the count is the number of distinct rows, and the identity
-    is the row 0..|S|-1.
-
-    Each row is padded with fixed points to a whole number of 8-byte words
-    and read as uint64 keys: one word per row (|S| <= 8 on uint8 entries)
-    is sorted directly, more words are sorted with ``np.lexsort``, and the
-    count is 1 plus the number of adjacent rows that differ.  The padded
-    width still fits the entry dtype, since 256 and 65,536 are multiples
-    of the 8 and 4 entries of a word.  The table holds 1 + m + m^2 rows for
-    the m = 2|C| moves, and one of more than COUNT_GUARD bytes raises
-    TooLarge before anything is built."""
-    support = sorted(set().union(*(e._map for e in entries)))
-    n = len(support)
-    if n == 0:  # C holds at most the identity
-        return 1
-    index = {s: i for i, s in enumerate(support)}
-    dtype = np.min_scalar_type(n - 1)
-    per_word = 8 // dtype.itemsize
-    ident = np.arange(-(-n // per_word) * per_word, dtype=dtype)
-    m = 2 * len(entries)
-    size = (1 + m + m * m) * ident.nbytes
-    if size > COUNT_GUARD:
-        raise TooLarge(f"forbidden-set count of {len(entries)} entries "
-                       f"needs {size} bytes")
-    c = np.tile(ident, (len(entries), 1))
-    for row, e in zip(c, entries):
-        for x, y in e._map.items():
-            row[index[x]] = index[y]
-    moves = np.concatenate([c, np.argsort(c, axis=1).astype(dtype)])
-    width = moves.shape[1]
-    rows = np.empty((1 + m + m * m, width), dtype)
-    rows[0] = ident
-    rows[1:m + 1] = moves
-    # rows[1 + m + q*m + p, x] = moves[q, moves[p, x]]: the left-to-right
-    # product of every ordered pair of moves, written in place; every index
-    # is in range, and mode="clip" skips the buffered copy of "raise"
-    np.take(moves, moves, axis=1, out=rows[1 + m:].reshape(m, m, width),
-            mode="clip")
-    keys = rows.view(np.uint64)
-    if keys.shape[1] == 1:
-        keys.sort(axis=0)
-    else:
-        keys = keys[np.lexsort(keys.T)]
-    return 1 + int(np.count_nonzero((keys[1:] != keys[:-1]).any(axis=1)))
-
-
 @dataclass(frozen=True)
 class WitnessStep:
     case: str  # "alpha" | "beta"
@@ -116,16 +56,9 @@ class WitnessStep:
 @dataclass(frozen=True)
 class WitnessTrace:
     separators: tuple
-    entries: frozenset  # the entry set C
+    forbidden_size: int  # points in the forbidden set when the loop ends
     steps: tuple
     final: FinPermutation
-
-    # Counted on first access, since the construction itself only needs
-    # the translates of the forbidden set.
-    @cached_property
-    def forbidden_size(self) -> int:
-        """The number of elements of the seven-part product set."""
-        return _count_seven_parts(self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -195,20 +128,28 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
     """
     NormalForm.proper(P)
     seps = pick_separators(P)
-    entries = _entries(P)
-    cmaps = [c._map for c in entries]
+    # the entry set C of A and B
+    cmaps = [e._map for e in {c for row in P.A.rows + P.B.rows for c in row}]
     moves = cmaps + [invert_map(m) for m in cmaps]
     # Every part of the forbidden set fixes each point outside the support
-    # S of the entries, and (t)(fg) = ((t)f)g, so the translates of s in S
-    # are the points reachable from s in at most two steps under C u C^-1;
-    # a point outside S is its own only translate.
-    one_step = {s: {m.get(s, s) for m in moves} for s in set().union(*cmaps)}
-    reach = {s: set().union({s}, nb, *(one_step[t] for t in nb))
-             for s, nb in one_step.items()}
+    # S of the entries, and (t)(fg) = ((t)f)g, so the translates of a point
+    # are the points at most two steps from it under C u C^-1; a point
+    # outside S is its own only translate.  ``near`` holds the points at
+    # most one step from the working set and the forbidden set those one
+    # step from ``near``, so each point's neighbours are added only once.
+    one_step = {s: {s, *(m.get(s, s) for m in moves)}
+                for s in set().union(*cmaps)}
+    near: set = set()
+    forbidden: set = set()
 
-    forbidden = set()
+    def avoid(x):
+        for t in one_step.get(x, (x,)):
+            if t not in near:
+                near.add(t)
+                forbidden.update(one_step.get(t, (t,)))
+
     for s in seps:
-        forbidden |= reach.get(s, {s})
+        avoid(s)
     sides = [(case, [[c._map for c in row] for row in R.rows])
              for case, R in (("alpha", P.A), ("beta", P.B))]
     states = [[(0, row[0].get(m, m)) for row, m in zip(rows, seps)]
@@ -227,12 +168,12 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
             raise OracleExhausted(
                 f"{len(steps) + 1} steps exceed the step budget of {budget}")
         case, j, q = stuck
-        forbidden |= reach.get(q, {q})
+        avoid(q)
         q_img = oracle.choose_image(xmap, q, forbidden)
         if q_img is None or q_img in forbidden:
             raise OracleExhausted("oracle returned no admissible image")
         xmap[q] = q_img
-        forbidden |= reach.get(q_img, {q_img})
+        avoid(q_img)
         for (_, rows), state in zip(sides, states):
             for i, (row, (p, v)) in enumerate(zip(rows, state)):
                 if v == q:
@@ -243,7 +184,7 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
     g = oracle.complete(xmap)
     trace = WitnessTrace(
         separators=seps,
-        entries=entries,
+        forbidden_size=len(forbidden),
         steps=tuple(steps),
         final=g,
     )

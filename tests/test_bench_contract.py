@@ -45,4 +45,4 @@ def test_intersect_certificates_pinned(bench):
     for fn, args in workloads.SETUPS["intersect"](0):
         digest.update(fn(tracing.NULL, *args))
     assert digest.hexdigest() == \
-        "a3c9b635b944d3a035537c0a532bc242225373bbff46dc4e9f589ec586e7d188"
+        "eadef1b4aec949a245969ee45e8755a9ede76a99a18900c0ca158cec30ddeb34"

@@ -15,7 +15,7 @@ from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY, transposition
 from zariski.ragged import membership, pair_of_rows, stack
 from zariski.randgen import rand_proper_pair
-from zariski.witness import (SymOmegaOracle, WitnessTrace, construct_witness,
+from zariski.witness import (SymOmegaOracle, construct_witness,
                              intersect_witness, pick_separators, symw_oracle)
 
 T01 = transposition(0, 1)
@@ -43,61 +43,67 @@ def _brute_seven_parts(entries) -> set:
     return out
 
 
-def _forbidden_size(P) -> int:
-    entries = frozenset(c for row in P.A.rows + P.B.rows for c in row)
-    return WitnessTrace(separators=(), entries=entries, steps=(),
-                        final=IDENTITY).forbidden_size
+def _entries(P) -> set:
+    return {c for row in P.A.rows + P.B.rows for c in row}
+
+
+def _recount_forbidden(P, trace) -> int:
+    """The translates of the separators and of every step's point and
+    image under the seven-part product set of the entries."""
+    forb = _brute_seven_parts(_entries(P))
+    points = set(trace.separators)
+    points.update(p for s in trace.steps for p in (s.point, s.image))
+    return len({f.apply(x) for x in points for f in forb})
 
 
 def test_forbidden_set_examples():
-    all_id = pair_of_rows([[IDENTITY, IDENTITY]], [[IDENTITY, IDENTITY]])
-    assert _forbidden_size(all_id) == 1  # {1}
-    assert _forbidden_size(COMMUTE_T01) == 2  # {1, (0 1)}
     P = pair_of_rows([[T01, IDENTITY]], [[T12, IDENTITY]])
-    assert _forbidden_size(P) == len(_brute_seven_parts({T01, T12, IDENTITY}))
-    assert _forbidden_size(P) == 5  # Sym({0, 1, 2}) but (0 2)
-    # 300 points need a 16-bit image table: {1, c, c^-1, c^2, c^-2}
+    _, trace = construct_witness(P, symw_oracle())
+    # separator 0, then 1 -> 3 and 0 -> 4; C = {1, (0 1), (1 2)} takes
+    # 0 and 1 across {0, 1, 2} and fixes 3 and 4
+    assert [(s.point, s.image) for s in trace.steps] == [(1, 3), (0, 4)]
+    assert trace.forbidden_size == 5 == _recount_forbidden(P, trace)
+    # the cycle c = (7 8 ... 306): separator 7, then 8 -> 0 and 7 -> 1;
+    # {1, c, c^-1, c^2, c^-2} take 7 and 8 to {305, 306, 7, 8, 9, 10}
     c = FinPermutation({x: x + 1 for x in range(7, 306)} | {306: 7})
     P = pair_of_rows([[c, IDENTITY]], [[IDENTITY, c]])
-    assert _forbidden_size(P) == 5
-
-
-@st.composite
-def _perms(draw):
-    points = draw(st.lists(st.integers(0, 11), unique=True, max_size=12))
-    return dict(zip(points, draw(st.permutations(points))))
+    _, trace = construct_witness(P, symw_oracle())
+    assert [(s.point, s.image) for s in trace.steps] == [(8, 0), (7, 1)]
+    assert trace.forbidden_size == 8 == _recount_forbidden(P, trace)
 
 
 @settings(max_examples=60, deadline=None)
-@given(maps=st.lists(_perms(), max_size=4),
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4),
+       degree=st.integers(1, 6), support=st.integers(0, 12),
        offset=st.integers(0, 10 ** 6))
-@example(maps=[], offset=0)
-@example(maps=[{}], offset=0)
-@example(maps=[{0: 1, 1: 0}], offset=2 ** 70)
-def test_forbidden_set_property(maps, offset):
-    entries = frozenset(
-        FinPermutation({x + offset: y + offset for x, y in m.items()})
-        for m in maps)
-    expected = _brute_seven_parts(entries)
-    trace = WitnessTrace(separators=(), entries=entries, steps=(),
-                         final=IDENTITY)
-    assert trace.forbidden_size == len(expected)
+@example(seed=0, rows=1, degree=1, support=2, offset=2 ** 70)
+def test_forbidden_set_property(seed, rows, degree, support, offset):
+    # the same pair moved up by offset: separators and stuck points
+    # leave the small naturals, while the images stay there
+    P = rand_proper_pair(random.Random(seed), rows, degree, support)
+    shift = [[FinPermutation({x + offset: y + offset
+                              for x, y in c._map.items()}) for c in row]
+             for row in P.A.rows + P.B.rows]
+    P = pair_of_rows(shift[:P.num_rows], shift[P.num_rows:])
+    g, trace = construct_witness(P, symw_oracle())
+    assert membership(P, g, SYM)
+    assert trace.forbidden_size == _recount_forbidden(P, trace)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 255, 256, 257])
 def test_forbidden_set_word_boundaries(n):
-    # supports on either side of one 8-byte key word and of the uint8
-    # table; the transposition of the last two points agrees with the
-    # identity on every key word but the last
+    # supports on either side of the 8-byte words and the 8-bit table of an
+    # earlier count of the seven-part set; the point count has no such
+    # boundaries and must match the recount on every support size
     points = [x + 1000 for x in range(n)]
     rng = random.Random(n)
-    entries = frozenset([
-        FinPermutation(dict(zip(points, points[1:] + points[:1]))),
-        FinPermutation(dict(zip(points, rng.sample(points, n)))),
-        transposition(points[-2], points[-1])])
-    trace = WitnessTrace(separators=(), entries=entries, steps=(),
-                         final=IDENTITY)
-    assert trace.forbidden_size == len(_brute_seven_parts(entries))
+    cycle = FinPermutation(dict(zip(points, points[1:] + points[:1])))
+    shuffle = FinPermutation(dict(zip(points, rng.sample(points, n))))
+    swap = transposition(points[-2], points[-1])
+    P = pair_of_rows([[cycle, shuffle]], [[swap, IDENTITY]])
+    g, trace = construct_witness(P, symw_oracle())
+    assert membership(P, g, SYM)
+    assert trace.forbidden_size == _recount_forbidden(P, trace)
 
 
 def test_witness_trace_matches_hand_run():
@@ -173,7 +179,7 @@ def _replay_conditions(P, trace):
     avoids every forbidden translate of the working set before the step:
     the points of the map, the stuck point q and the separators."""
     seps = trace.separators
-    forb = _brute_seven_parts(trace.entries)
+    forb = _brute_seven_parts(_entries(P))
     xmap = {}
     states = [dict(xmap)]
     for s in trace.steps:
@@ -201,7 +207,7 @@ def test_random_witnesses_and_invariants():
         assert membership(P, g, SYM)
         assert len(trace.steps) <= P.degree_sum()
         assert trace.to_json()["forbidden_size"] == \
-            len(_brute_seven_parts(trace.entries))
+            _recount_forbidden(P, trace)
         _replay_conditions(P, trace)
         # counters never decrease; the handled row strictly increases
         prev_a = [0] * P.num_rows
@@ -236,7 +242,6 @@ def test_determinism():
         g2, t2 = construct_witness(P2, symw_oracle())
         assert g1 == g2 and t1 == t2
         assert hash(t1) == hash(t2)
-        assert t1.forbidden_size == t2.forbidden_size and t1 == t2
 
 
 def test_large_degree_traces_pinned():
@@ -247,7 +252,7 @@ def test_large_degree_traces_pinned():
         _, trace = construct_witness(P, symw_oracle())
         digest.update(json.dumps(trace.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == \
-        "94d889c660c66827010af6e2fb8e27407ff3efcf72545a9f793351e0adae1238"
+        "77e2747d380ebae4cbfbee686a64cd0edb19e5660bcb123f2ae6b67c8242365c"
 
 
 def test_intersect_witness():
@@ -276,7 +281,8 @@ def test_trace_json():
     _, trace = construct_witness(COMMUTE_T01, symw_oracle())
     data = trace.to_json()
     assert data["separators"] == [0]
-    assert data["forbidden_size"] == 2
+    # the translates of 0, 1, 2 and 3 under {1, (0 1)}
+    assert data["forbidden_size"] == 4
     assert data["steps"][0] == {"case": "alpha", "row": 0, "point": 1,
                                 "image": 2, "counters_a": [1],
                                 "counters_b": [0]}
