@@ -3,8 +3,10 @@
 Submodules:
 
 * ``perm``     -- finitely supported permutations of N and ``extend``;
-* ``words``    -- group/semigroup words, evaluation, degree-3 reduction;
-* ``ragged``   -- ragged matrix pairs, basic open sets, normal forms;
+* ``ragged``   -- ragged matrix pairs of positive words, row evaluation,
+  basic open sets, normal forms;
+* ``words``    -- group words, their evaluation, and the degree-3
+  reduction of a group inequation to a one-row matrix pair;
 * ``witness``  -- hyperconnectedness witnesses via partial-bijection extension;
 * ``sepgroup`` -- the countable abelian group separating bounded Zariski
   topologies, with exact normal-form arithmetic and solvers;

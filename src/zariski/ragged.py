@@ -2,14 +2,17 @@
 
 A pair (A, B) of ragged matrices with k rows each denotes the basic open
 set N_{A,B} of all x whose row evaluations differ in every coordinate:
-row i of A evaluates as the semigroup word with coefficients A.rows[i].
+a row of coefficients (c0, ..., cn) is the positive word
+x -> c0 * x * c1 * ... * x * cn, and ``row_eval`` evaluates it in any
+monoid.  A single inequation u(x) != v(x) between positive words is the
+one-row pair ((u), (v)); ``zariski.words`` reduces low-degree group
+inequations to such pairs.
 
 Over Sym(N), ``membership`` never builds a row's value.  Two words
-c0 * x * c1 * ... * x * cn agree off the points that x and their
-coefficients move, so it walks each paired row point by point over those
-points only, on moved-point dicts, and stops at the first point where the
-two sides' images differ.  Other monoids go through the generic
-``row_eval``.
+agree off the points that x and their coefficients move, so it walks
+each paired row point by point over those points only, on moved-point
+dicts, and stops at the first point where the two sides' images differ.
+Other monoids go through ``row_eval``.
 
 ``normalize`` rewrites a pair over a cancellative monoid into one of three
 normal forms without changing the denoted set:
@@ -28,7 +31,6 @@ from itertools import chain
 from zariski.errors import InvalidAdjuster, NotNormalized
 from zariski.groups import Monoid, SymOmega
 from zariski.perm import FinPermutation
-from zariski.words import SemigroupWord, eval_semigroup
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class RaggedMatrix:
     def __post_init__(self):
         if not self.rows:
             raise ValueError("a ragged matrix needs at least one row")
-        if any(not row for row in self.rows):
+        if not all(self.rows):
             raise ValueError("every row needs at least one entry")
 
     @property
@@ -57,7 +59,7 @@ class MatrixPair:
     B: RaggedMatrix
 
     def __post_init__(self):
-        if self.A.num_rows != self.B.num_rows:
+        if len(self.A.rows) != len(self.B.rows):
             raise ValueError("A and B must have the same number of rows")
 
     @property
@@ -74,11 +76,12 @@ def pair_of_rows(a_rows, b_rows) -> MatrixPair:
                       RaggedMatrix(tuple(tuple(r) for r in b_rows)))
 
 
-def row_eval(R: RaggedMatrix, i: int, x, G: Monoid):
-    """Evaluate row i as a semigroup word at x."""
-    if not 0 <= i < R.num_rows:
-        raise IndexError(f"row {i} out of range for {R.num_rows}-rowed matrix")
-    return eval_semigroup(SemigroupWord(R.rows[i]), x, G)
+def row_eval(row: tuple, x, G: Monoid):
+    """The value c0 * x * c1 * ... * x * cn of a row of coefficients."""
+    acc = row[0]
+    for c in row[1:]:
+        acc = G.mul(G.mul(acc, x), c)
+    return acc
 
 
 def _image(row, x: dict, t):
@@ -106,8 +109,8 @@ def membership(P: MatrixPair, x, G: Monoid) -> bool:
             else:
                 return False
         return True
-    return all(row_eval(P.A, i, x, G) != row_eval(P.B, i, x, G)
-               for i in range(P.num_rows))
+    return all(row_eval(arow, x, G) != row_eval(brow, x, G)
+               for arow, brow in zip(P.A.rows, P.B.rows))
 
 
 def stack(P1: MatrixPair, P2: MatrixPair) -> MatrixPair:

@@ -74,7 +74,7 @@ def g_element(spec) -> GElement:
     return GElement(exp)
 
 
-def _mul_pow(a: GElement, x: GElement, p: int) -> GElement:
+def mul_pow(a: GElement, x: GElement, p: int) -> GElement:
     """The value a * x^p in normal form, for any integer p."""
     exp = dict(a._exp)
     for kn, e in x._exp.items():
@@ -84,17 +84,6 @@ def _mul_pow(a: GElement, x: GElement, p: int) -> GElement:
         else:
             exp[kn] = s
     return GElement(exp)
-
-
-def g_inv(u: GElement) -> GElement:
-    return _mul_pow(g_identity(), u, -1)
-
-
-def eval_ax_p(a: GElement, p: int, x: GElement) -> GElement:
-    """The value a * x^p in normal form (p >= 0)."""
-    if p < 0:
-        raise ValueError("exponent must be non-negative")
-    return _mul_pow(a, x, p)
 
 
 def tm_point(m: int, n: int) -> GElement:
@@ -161,13 +150,14 @@ def brute_solve_on_Tm(a: GElement, p: int, m: int, bound: int) -> frozenset:
     if m < 1 or p < 1:
         raise ValueError("need m >= 1 and p >= 1")
     return frozenset([n for n, x in enumerate(_tm_points(m, bound))
-                      if eval_ax_p(a, p, x).is_identity()])
+                      if mul_pow(a, x, p).is_identity()])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _tm_points(m: int, bound: int) -> tuple:
     """The T_m points with index 0..bound, built once per (m, bound)
-    rather than once per call of the enumeration oracle."""
+    rather than once per call of the enumeration oracle.  Callers walk m
+    in order, so only the latest table is kept."""
     return tuple(tm_point(m, n) for n in range(bound + 1))
 
 
@@ -176,7 +166,7 @@ def commutative_reduce(a: GElement, n: int) -> tuple:
     for n < 0 the solution set equals that of a^{-1} * x^{|n|} != 1."""
     if n >= 0:
         return a, n
-    return g_inv(a), -n
+    return mul_pow(g_identity(), a, -1), -n
 
 
 def g_to_json(u: GElement) -> dict:

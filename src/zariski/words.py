@@ -1,12 +1,12 @@
-"""Group and semigroup words, their evaluation, and the reduction of
-low-degree group inequations to pairs of positive words.
+"""Group words, their evaluation, and the reduction of low-degree group
+inequations to pairs of positive words.
 
-A semigroup word with coefficients (a0, ..., an) is the map
-x -> a0*x*a1*...*x*an; a group word additionally carries a sign for each
-occurrence of x.  ``group_ineq_to_semigroup_pair`` rewrites a group
-inequation ``w(x) != 1`` of degree at most 3 as ``u(x) != v(x)`` with u, v
-positive, which is what makes degree-3 group-Zariski basic sets visible to
-the semigroup Zariski topology.
+A group word with coefficients (a0, ..., an) and signs (e1, ..., en) is
+the map x -> a0*x^e1*a1*...*x^en*an.  ``group_ineq_to_semigroup_pair``
+rewrites a group inequation ``w(x) != 1`` of degree at most 3 as
+``u(x) != v(x)`` with u, v positive words.  That is the one-row matrix pair
+``((u), (v))`` of ``zariski.ragged``, a basic set of the semigroup Zariski
+topology, which ``normalize`` and the witness accept like any other pair.
 """
 
 from __future__ import annotations
@@ -15,21 +15,7 @@ from dataclasses import dataclass
 
 from zariski.errors import IrreducibleSignature
 from zariski.groups import Group, Monoid
-
-
-@dataclass(frozen=True)
-class SemigroupWord:
-    """Word a0 x a1 ... x an; degree = number of x occurrences."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("a word needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
+from zariski.ragged import MatrixPair, RaggedMatrix, row_eval
 
 
 @dataclass(frozen=True)
@@ -52,21 +38,6 @@ class GroupWord:
         return len(self.signs)
 
 
-@dataclass(frozen=True)
-class IneqPair:
-    """The basic set {x : lhs(x) != rhs(x)}."""
-
-    lhs: SemigroupWord
-    rhs: SemigroupWord
-
-
-def eval_semigroup(w: SemigroupWord, x, G: Monoid):
-    acc = w.coefficients[0]
-    for c in w.coefficients[1:]:
-        acc = G.mul(G.mul(acc, x), c)
-    return acc
-
-
 def eval_group(w: GroupWord, x, G: Group):
     xinv = None
     acc = w.coefficients[0]
@@ -81,8 +52,10 @@ def eval_group(w: GroupWord, x, G: Group):
     return acc
 
 
-def holds_ineq(pair: IneqPair, x, G: Monoid) -> bool:
-    return eval_semigroup(pair.lhs, x, G) != eval_semigroup(pair.rhs, x, G)
+def holds_ineq(pair: MatrixPair, x, G: Monoid) -> bool:
+    """Is x in the basic set of a one-row pair, i.e. is u(x) != v(x)?"""
+    (u,), (v,) = pair.A.rows, pair.B.rows
+    return row_eval(u, x, G) != row_eval(v, x, G)
 
 
 def formal_inverse(w: GroupWord, G: Group) -> GroupWord:
@@ -93,19 +66,22 @@ def formal_inverse(w: GroupWord, G: Group) -> GroupWord:
     return GroupWord(coeffs, signs)
 
 
-def _rotate_unique_negative(w: GroupWord, G: Group) -> IneqPair:
+def _one_row(u: tuple, v: tuple) -> MatrixPair:
+    return MatrixPair(RaggedMatrix((u,)), RaggedMatrix((v,)))
+
+
+def _rotate_unique_negative(w: GroupWord, G: Group) -> MatrixPair:
     # w = p x^{ -1} q with p, q positive; w(x) = 1 iff q(x)p(x) = x.
     i = w.signs.index(-1) + 1  # coefficient index right of the negative x
     p = w.coefficients[:i]
     q = w.coefficients[i:]
     fused = q[:-1] + (G.mul(q[-1], p[0]),) + p[1:]
-    u = SemigroupWord(fused)
-    v = SemigroupWord((G.one(), G.one()))  # the word x
-    return IneqPair(u, v)
+    return _one_row(fused, (G.one(), G.one()))  # the word x on the right
 
 
-def group_ineq_to_semigroup_pair(w: GroupWord, G: Group) -> IneqPair:
-    """Positive words (u, v) with w(x) = 1 iff u(x) = v(x), for every x.
+def group_ineq_to_semigroup_pair(w: GroupWord, G: Group) -> MatrixPair:
+    """The one-row pair ((u), (v)) of positive words with w(x) = 1 iff
+    u(x) = v(x), for every x.
 
     Accepts any degree when all signs agree, and mixed signs up to degree 3.
     A word with more than one negative occurrence is first replaced by its
@@ -123,5 +99,5 @@ def group_ineq_to_semigroup_pair(w: GroupWord, G: Group) -> IneqPair:
     if negs > 1:
         w = formal_inverse(w, G)
     if -1 not in w.signs:
-        return IneqPair(SemigroupWord(w.coefficients), SemigroupWord((G.one(),)))
+        return _one_row(w.coefficients, (G.one(),))
     return _rotate_unique_negative(w, G)

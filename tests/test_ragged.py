@@ -21,16 +21,13 @@ COMMUTE_T01 = pair_of_rows([[T01, IDENTITY]], [[IDENTITY, T01]])
 
 def test_row_eval_examples():
     a = FinPermutation({0: 5, 5: 0})
-    R = RaggedMatrix(((a,),))
-    assert row_eval(R, 0, T01, SYM) == a
-    R = RaggedMatrix(((IDENTITY, IDENTITY),))
+    assert row_eval((a,), T01, SYM) == a
     sigma = FinPermutation({0: 1, 1: 2, 2: 0})
-    assert row_eval(R, 0, sigma, SYM) == sigma
-    R = RaggedMatrix(((T01, IDENTITY, T12),))
+    assert row_eval((IDENTITY, IDENTITY), sigma, SYM) == sigma
+    assert row_eval((IDENTITY,) * 3, T01, SYM) == IDENTITY
     x = transposition(0, 2)
-    assert row_eval(R, 0, x, SYM) == T01 * x * IDENTITY * x * T12
-    with pytest.raises(IndexError):
-        row_eval(R, 1, x, SYM)
+    assert row_eval((T01, IDENTITY), x, SYM) == T01 * x
+    assert row_eval((T01, IDENTITY, T12), x, SYM) == T01 * x * IDENTITY * x * T12
 
 
 def test_membership_examples():
@@ -53,8 +50,8 @@ def test_membership_matches_generic_path():
     for _ in range(200):
         P = rand_pair(rng, 1, 1, 2)
         x = rand_perm(rng, 4)
-        generic = all(row_eval(P.A, i, x, SYM) != row_eval(P.B, i, x, SYM)
-                      for i in range(P.num_rows))
+        generic = all(row_eval(a, x, SYM) != row_eval(b, x, SYM)
+                      for a, b in zip(P.A.rows, P.B.rows))
         assert membership(P, x, SYM) == generic
 
 
@@ -78,8 +75,8 @@ def test_membership_walk_property(seed, rows, degree, support, x_support,
     rng = random.Random(seed)
     P = shifted_pair(rand_pair(rng, rows, degree, support), shift)
     x = shifted(rand_perm(rng, x_support), shift)
-    generic = all(row_eval(P.A, i, x, SYM) != row_eval(P.B, i, x, SYM)
-                  for i in range(P.num_rows))
+    generic = all(row_eval(a, x, SYM) != row_eval(b, x, SYM)
+                  for a, b in zip(P.A.rows, P.B.rows))
     assert membership(P, x, SYM) == generic
 
 
@@ -93,7 +90,7 @@ def test_membership_equal_row_property(seed, rows, degree, support, shift):
     x = shifted(rand_perm(rng, support + 2), shift)
     i = rng.randrange(P.num_rows)
     b_rows = list(P.B.rows)
-    b_rows[i] = (row_eval(P.A, i, x, SYM),)
+    b_rows[i] = (row_eval(P.A.rows[i], x, SYM),)
     assert not membership(pair_of_rows(P.A.rows, b_rows), x, SYM)
 
 

@@ -7,9 +7,9 @@ from hypothesis import example, given, strategies as st
 
 from zariski.randgen import rand_gelement
 from zariski.sepgroup import (AllEven, FiniteCandidates, brute_solve_on_Tm,
-                              commutative_reduce, eval_ax_p, finiteness_bound,
-                              g_element, g_from_json, g_identity, g_inv,
-                              g_to_json, solve_on_Tm, tm_point)
+                              commutative_reduce, finiteness_bound, g_element,
+                              g_from_json, g_identity, g_to_json, mul_pow,
+                              solve_on_Tm, tm_point)
 
 
 def _component(k, exponents):
@@ -37,13 +37,13 @@ def test_even_exponents_in_range():
 
 def test_group_ops_examples():
     u = g_element({2: {0: 1, 3: 2}, 5: {1: -1}})
-    assert eval_ax_p(u, 1, g_inv(u)) == g_identity()
+    assert mul_pow(u, u, -1) == g_identity()
     v = g_element({2: {0: 1}})
     # x0^2 = 1 in component 2
-    assert eval_ax_p(v, 1, v) == g_element({2: {3: 0}})
-    assert eval_ax_p(v, 1, v).is_identity()
+    assert mul_pow(v, v, 1) == g_element({2: {3: 0}})
+    assert mul_pow(v, v, 1).is_identity()
     w = g_element({0: {0: 1}})
-    assert not eval_ax_p(w, 1, w).is_identity()  # component 0 is free
+    assert not mul_pow(w, w, 1).is_identity()  # component 0 is free
 
 
 elements = st.integers(0, 10 ** 6).map(
@@ -52,27 +52,30 @@ elements = st.integers(0, 10 ** 6).map(
 
 @given(elements, elements)
 def test_commutativity(u, v):
-    assert eval_ax_p(u, 1, v) == eval_ax_p(v, 1, u)
+    assert mul_pow(u, v, 1) == mul_pow(v, u, 1)
 
 
 @given(elements, elements, elements)
 def test_cancellativity(u, v, w):
-    assert (u == v) == (eval_ax_p(u, 1, w) == eval_ax_p(v, 1, w))
+    assert (u == v) == (mul_pow(u, w, 1) == mul_pow(v, w, 1))
 
 
 @given(elements, elements, elements)
 def test_associativity(u, v, w):
-    assert (eval_ax_p(eval_ax_p(u, 1, v), 1, w)
-            == eval_ax_p(u, 1, eval_ax_p(v, 1, w)))
+    assert (mul_pow(mul_pow(u, v, 1), w, 1)
+            == mul_pow(u, mul_pow(v, w, 1), 1))
 
 
-def test_eval_ax_p_examples():
+def test_mul_pow_examples():
     a = g_element({3: {1: 2}})
-    assert eval_ax_p(a, 0, g_element({3: {0: 1}})) == a
+    assert mul_pow(a, g_element({3: {0: 1}}), 0) == a
+    # negative exponents: odd generators in Z, even ones mod k
+    assert mul_pow(a, g_element({3: {1: 1}}), -2) == g_identity()
+    assert mul_pow(g_identity(), tm_point(3, 0), -1) == g_element({3: {0: 2}})
     x = g_element({2: {4: 1}})
-    assert eval_ax_p(g_identity(), 1, x) == x
+    assert mul_pow(g_identity(), x, 1) == x
     a = g_element({5: {3: -2}})
-    assert eval_ax_p(a, 2, tm_point(5, 3)) == g_identity()
+    assert mul_pow(a, tm_point(5, 3), 2) == g_identity()
 
 
 def test_solve_examples_against_brute_oracle():
@@ -136,7 +139,7 @@ def test_separation_dichotomy_small_scale():
 def test_commutative_reduce():
     a = g_element({2: {1: 3}})
     assert commutative_reduce(a, 3) == (a, 3)
-    assert commutative_reduce(a, -2) == (g_inv(a), 2)
+    assert commutative_reduce(a, -2) == (mul_pow(g_identity(), a, -1), 2)
     assert commutative_reduce(g_identity(), 0) == (g_identity(), 0)
     # solution sets of "!= 1" agree pointwise
     rng = random.Random(31)
@@ -145,8 +148,8 @@ def test_commutative_reduce():
         n = rng.randint(-4, -1)
         b, q = commutative_reduce(a, n)
         x = rand_gelement(rng, max_k=4, max_gen=6, max_exp=3)
-        lhs = eval_ax_p(a, 1, g_inv(eval_ax_p(g_identity(), -n, x)))
-        assert lhs.is_identity() == eval_ax_p(b, q, x).is_identity()
+        lhs = mul_pow(a, mul_pow(g_identity(), x, -n), -1)
+        assert lhs.is_identity() == mul_pow(b, x, q).is_identity()
 
 
 def test_tm_point_validation():

@@ -1,6 +1,8 @@
-"""Word evaluation and the degree-3 reduction of group inequations."""
+"""Word evaluation and the degree-3 reduction of group inequations to
+one-row matrix pairs."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,22 +11,14 @@ from zariski.errors import IrreducibleSignature
 from zariski.finite import TableGroup, builtin
 from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY, transposition
-from zariski.words import (GroupWord, IneqPair, SemigroupWord,
-                           eval_group, eval_semigroup, formal_inverse,
+from zariski.ragged import normalize, pair_of_rows
+from zariski.randgen import DEFAULT_ADJUSTER, rand_perm
+from zariski.witness import construct_witness, symw_oracle
+from zariski.words import (GroupWord, eval_group, formal_inverse,
                            group_ineq_to_semigroup_pair, holds_ineq)
 
 T01 = transposition(0, 1)
 T12 = transposition(1, 2)
-
-
-def test_eval_semigroup_examples():
-    a = FinPermutation({0: 3, 3: 0})
-    assert eval_semigroup(SemigroupWord((a,)), T01, SYM) == a
-    t = T01
-    assert eval_semigroup(SemigroupWord((IDENTITY,) * 3), t, SYM) == IDENTITY
-    x = transposition(0, 2)
-    w = SemigroupWord((T01, IDENTITY))
-    assert eval_semigroup(w, x, SYM) == T01 * x
 
 
 def test_eval_group_examples():
@@ -42,12 +36,10 @@ def test_eval_group_examples():
 
 
 def test_holds_ineq_examples():
-    w = SemigroupWord((T01, IDENTITY))
-    assert not holds_ineq(IneqPair(w, w), T12, SYM)
-    a, b = SemigroupWord((T01,)), SemigroupWord((T12,))
-    assert holds_ineq(IneqPair(a, b), IDENTITY, SYM)
-    comm = IneqPair(SemigroupWord((T01, IDENTITY)),
-                    SemigroupWord((IDENTITY, T01)))
+    w = (T01, IDENTITY)
+    assert not holds_ineq(pair_of_rows([w], [w]), T12, SYM)
+    assert holds_ineq(pair_of_rows([[T01]], [[T12]]), IDENTITY, SYM)
+    comm = pair_of_rows([[T01, IDENTITY]], [[IDENTITY, T01]])
     assert not holds_ineq(comm, IDENTITY, SYM)
 
 
@@ -58,9 +50,7 @@ def s3_elements():
 
 def equivalent_on(G, elems, w, pair):
     one = G.one()
-    return all((eval_group(w, x, G) == one)
-               == (eval_semigroup(pair.lhs, x, G)
-                   == eval_semigroup(pair.rhs, x, G))
+    return all((eval_group(w, x, G) == one) != holds_ineq(pair, x, G)
                for x in elems)
 
 
@@ -68,8 +58,7 @@ def test_reduction_all_positive():
     a, b = T01, T12
     w = GroupWord((a, b, IDENTITY), (1, 1))
     pair = group_ineq_to_semigroup_pair(w, SYM)
-    assert pair.lhs == SemigroupWord((a, b, IDENTITY))
-    assert pair.rhs == SemigroupWord((IDENTITY,))
+    assert pair == pair_of_rows([[a, b, IDENTITY]], [[IDENTITY]])
 
 
 def test_reduction_single_inverse():
@@ -79,8 +68,7 @@ def test_reduction_single_inverse():
         for b in elems:
             w = GroupWord((a, b), (-1,))
             pair = group_ineq_to_semigroup_pair(w, G)
-            assert pair.lhs == SemigroupWord((G.mul(b, a),))
-            assert pair.rhs == SemigroupWord((G.one(), G.one()))
+            assert pair == pair_of_rows([[G.mul(b, a)]], [[G.one(), G.one()]])
             assert equivalent_on(G, elems, w, pair)
 
 
@@ -90,8 +78,7 @@ def test_reduction_mixed_degree_two():
     for a, b, c in itertools.product(elems, repeat=3):
         w = GroupWord((a, b, c), (1, -1))
         pair = group_ineq_to_semigroup_pair(w, G)
-        assert pair.lhs == SemigroupWord((G.mul(c, a), b))
-        assert pair.rhs == SemigroupWord((G.one(), G.one()))
+        assert pair == pair_of_rows([[G.mul(c, a), b]], [[G.one(), G.one()]])
         assert equivalent_on(G, elems, w, pair)
 
 
@@ -108,23 +95,49 @@ def test_reduction_majority_negative():
     assert equivalent_on(G, elems, w, pair)
 
 
+def _rand_group_word(rng, support):
+    degree = rng.randint(0, 3)
+    return GroupWord(tuple(rand_perm(rng, support) for _ in range(degree + 1)),
+                     tuple(rng.choice((1, -1)) for _ in range(degree)))
+
+
 def test_reduction_on_random_sym_words():
     # pointwise soundness on the infinite group as well
-    import random
-    from zariski.randgen import rand_perm
     rng = random.Random(6)
     one = SYM.one()
     for _ in range(300):
-        degree = rng.randint(0, 3)
-        coeffs = tuple(rand_perm(rng, 7) for _ in range(degree + 1))
-        signs = tuple(rng.choice((1, -1)) for _ in range(degree))
-        w = GroupWord(coeffs, signs)
+        w = _rand_group_word(rng, 7)
         pair = group_ineq_to_semigroup_pair(w, SYM)
         for _ in range(10):
             x = rand_perm(rng, 7)
-            assert (eval_group(w, x, SYM) == one) == (
-                eval_semigroup(pair.lhs, x, SYM)
-                == eval_semigroup(pair.rhs, x, SYM))
+            assert (eval_group(w, x, SYM) == one) != holds_ineq(pair, x, SYM)
+
+
+def test_reduced_pairs_normalize_and_witness():
+    # the reduction's output is an ordinary matrix pair: normalize it and,
+    # when the form is proper, build an x over Sym(N) with w(x) != 1
+    rng = random.Random(11)
+    tags = {"empty": 0, "full": 0, "proper": 0}
+    for _ in range(2000):
+        w = _rand_group_word(rng, 6)
+        form = normalize(group_ineq_to_semigroup_pair(w, SYM), SYM,
+                         DEFAULT_ADJUSTER)
+        tags[form.tag] += 1
+        if form.is_proper:
+            g, _ = construct_witness(form.pair, symw_oracle())
+            assert eval_group(w, g, SYM) != IDENTITY
+        else:
+            x = rand_perm(rng, 6)
+            assert (eval_group(w, x, SYM) != IDENTITY) == form.is_full
+    assert tags["proper"] > 1000 and tags["full"] > 0
+    # w(x) = a x x^-1 a^-1 is 1 everywhere, a constant other than 1 nowhere
+    a = FinPermutation({0: 1, 1: 2, 2: 0})
+    w = GroupWord((a, IDENTITY, a.inv()), (1, -1))
+    assert normalize(group_ineq_to_semigroup_pair(w, SYM), SYM,
+                     DEFAULT_ADJUSTER).is_empty
+    w = GroupWord((T01,), ())
+    assert normalize(group_ineq_to_semigroup_pair(w, SYM), SYM,
+                     DEFAULT_ADJUSTER).is_full
 
 
 def test_reduction_errors_and_degrees():
@@ -133,20 +146,15 @@ def test_reduction_errors_and_degrees():
         group_ineq_to_semigroup_pair(w, SYM)
     # all-positive degree >= 4 stays fine
     w = GroupWord((IDENTITY,) * 5, (1, 1, 1, 1))
-    assert group_ineq_to_semigroup_pair(w, SYM).lhs.degree == 4
+    assert group_ineq_to_semigroup_pair(w, SYM).degree_sum() == 4
 
 
 @given(st.integers(0, 5))
 def test_degree_bookkeeping(seed):
-    import random
-    rng = random.Random(seed)
-    from zariski.randgen import rand_perm
-    degree = rng.randint(0, 3)
-    coeffs = tuple(rand_perm(rng, 6) for _ in range(degree + 1))
-    signs = tuple(rng.choice((1, -1)) for _ in range(degree))
-    w = GroupWord(coeffs, signs)
+    w = _rand_group_word(random.Random(seed), 6)
     pair = group_ineq_to_semigroup_pair(w, SYM)
-    assert pair.lhs.degree + pair.rhs.degree == w.degree
+    assert pair.num_rows == 1
+    assert pair.degree_sum() == w.degree
 
 
 @given(st.permutations(list(range(6))), st.permutations(list(range(6))))
@@ -159,8 +167,6 @@ def test_formal_inverse_property(img_a, img_x):
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        SemigroupWord(())
     with pytest.raises(ValueError):
         GroupWord((IDENTITY,), (1,))
     with pytest.raises(ValueError):
