@@ -24,9 +24,7 @@ def test_row_eval_examples():
     assert row_eval((a,), T01, SYM) == a
     sigma = FinPermutation({0: 1, 1: 2, 2: 0})
     assert row_eval((IDENTITY, IDENTITY), sigma, SYM) == sigma
-    assert row_eval((IDENTITY,) * 3, T01, SYM) == IDENTITY
     x = transposition(0, 2)
-    assert row_eval((T01, IDENTITY), x, SYM) == T01 * x
     assert row_eval((T01, IDENTITY, T12), x, SYM) == T01 * x * IDENTITY * x * T12
 
 

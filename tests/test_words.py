@@ -11,7 +11,7 @@ from zariski.errors import IrreducibleSignature
 from zariski.finite import TableGroup, builtin
 from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY, transposition
-from zariski.ragged import normalize, pair_of_rows
+from zariski.ragged import normalize, pair_of_rows, row_eval
 from zariski.randgen import DEFAULT_ADJUSTER, rand_perm
 from zariski.witness import construct_witness, symw_oracle
 from zariski.words import (GroupWord, eval_group, formal_inverse,
@@ -19,6 +19,15 @@ from zariski.words import (GroupWord, eval_group, formal_inverse,
 
 T01 = transposition(0, 1)
 T12 = transposition(1, 2)
+
+
+def test_eval_semigroup_examples():
+    # a positive word is a coefficient row, evaluated by ragged.row_eval
+    a = FinPermutation({0: 3, 3: 0})
+    assert row_eval((a,), T01, SYM) == a
+    assert row_eval((IDENTITY,) * 3, T01, SYM) == IDENTITY
+    x = transposition(0, 2)
+    assert row_eval((T01, IDENTITY), x, SYM) == T01 * x
 
 
 def test_eval_group_examples():
