@@ -163,7 +163,25 @@ def test_finite_check(tmp_path):
         tmp_path, ["finite-check", "--group", "Z6", "--max-degree", "2"])
     assert code == 0
     case = report["cases"][0]
-    assert case["families_equal"] and case["reduction_mismatches"] == []
+    assert case["families_equal"] == [True, True, True]
+    assert case["reduction_mismatches"] == []
+
+
+@pytest.mark.parametrize("group,degree,equal", [
+    ("Z6", 2, [True, True, True]),
+    # off the abelian groups the degree-1 families differ: 19 against 8
+    # sets on S3, 103 against 26 on S4
+    ("S3", 2, [True, False, True]),
+    ("S4", 1, [True, False])])
+def test_finite_check_compares_families(tmp_path, group, degree, equal):
+    code, report = run_json(tmp_path, ["finite-check", "--group", group,
+                                       "--max-degree", str(degree)])
+    assert code == 0
+    case = report["cases"][0]
+    assert case["families_equal"] == equal
+    assert case["semigroup_subset_of_group"] is True
+    assert "closed_sizes" not in case and "closure_skipped" not in case
+    assert case["pass"] is True
 
 
 def test_config_lists_every_option(tmp_path):

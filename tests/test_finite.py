@@ -250,7 +250,7 @@ def test_commutative_identity_small():
     for name in ("Z2", "Z3", "Z4"):
         table = builtin(name)
         for d in (0, 1, 2):
-            sem = topology_close(semigroup_family(table, d))
-            grp = topology_close(group_family(table, d))
-            assert sem.masks == grp.masks
+            # equal families generate equal topologies
+            assert semigroup_family(table, d).masks == \
+                group_family(table, d).masks
 
