@@ -19,9 +19,10 @@ Permutations are dicts of moved points, and the few loops that work on
 those dicts directly live beside their callers (``perm``, ``ragged`` and
 ``witness``).  Only ``finite`` uses numpy, for its families over a group's
 multiplication table.  It builds the value vectors of the words with
-leading coefficient 1 only, from the identity row up, and moves every
-constant left factor a to the other side: a*w differs from f, or from 1,
-where w differs from a^-1*f, or from a^-1.
+leading coefficient 1, from the identity row up, and compares only those
+with trailing coefficient 1 too, moving every constant outer factor to the
+other side: a*w*c differs from f, or from 1, where w differs from
+a^-1*f*c^-1, or from a^-1*c^-1.
 """
 
 __version__ = "0.1.0"

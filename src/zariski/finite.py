@@ -6,13 +6,16 @@ families, topology closure) against exhaustive enumeration on groups small
 enough to enumerate completely.
 
 Families of basic sets are sets of int64 bitmasks over the carrier
-{0, ..., order-1}, so a carrier of more than 63 elements is refused.  Both
-families enumerate only the words w with leading coefficient 1, from the
-identity row up; any other word is a*w.  A pair's difference set does not
-change when both words are left-multiplied by one element, so the semigroup
-family pairs each w with every a*w'; and a*w(x) != 1 exactly when
-w(x) != a^-1, so the group family compares each w with every constant.  The
-tests check both against the fully naive enumeration.
+{0, ..., order-1}, so a carrier of more than 63 elements is refused, and
+the value tables are uint8.  Both families enumerate the words w with
+leading coefficient 1, from the identity row up; any other word is a*w.
+Only those whose trailing coefficient is 1 too are compared: any word is
+a*w*c with such a w.  A pair's difference set does not change when both
+words are multiplied by one element on the left, or on the right, so the
+semigroup family pairs each such w with every word a*w'; and
+a*w*c(x) != 1 exactly when w(x) != a^-1*c^-1, so the group family compares
+each such w with every constant.  The tests check both against the fully
+naive enumeration.
 
 A topology on a finite carrier is generated from its smallest open sets:
 the one around x is the intersection of the generators that contain x, and
@@ -148,13 +151,28 @@ def _word_vectors(M: np.ndarray, one: int, occurrences, d: int) -> np.ndarray:
     """Value vectors of the words of degree <= d with leading coefficient
     ``one`` (the identity), one row per word and one column per value of x.
     Each x occurrence reads one of the ``occurrences`` arrays (x itself, or
-    x and x^-1) and is followed by every coefficient in turn."""
+    x and x^-1) and is followed by every coefficient in turn, so a level is
+    laid out by occurrence, then by trailing coefficient: block a holds every
+    shorter word times an occurrence times a.  The levels come in order of
+    degree, so the words of degree <= d-1 are the leading rows."""
     n = M.shape[0]
-    levels = [np.full((1, n), one, dtype=np.int64)]
+    levels = [np.full((1, n), one, dtype=np.uint8)]
     for _ in range(d):
         vx = [M[levels[-1], occ[None, :]] for occ in occurrences]
         levels.append(np.concatenate([M[v, a] for v in vx for a in range(n)]))
     return np.concatenate(levels)
+
+
+def _trailing_one(M: np.ndarray, F: np.ndarray, occurrences) -> np.ndarray:
+    """The rows of the words in ``F`` whose trailing coefficient is 1 too:
+    the word 1, and w times an occurrence of x for every shorter w.  With k
+    occurrences and n coefficients, F has 1 + k*n rows per word of degree
+    <= d-1, and those words lead it.  In the last level the words ending
+    in 1 are the identity's block, not every n-th row, so they are built
+    from the shorter words instead of sliced out."""
+    shorter = F[:(len(F) - 1) // (len(occurrences) * M.shape[0])]
+    return np.concatenate([F[:1]] + [M[shorter, occ[None, :]]
+                                     for occ in occurrences])
 
 
 def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
@@ -165,16 +183,20 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
         raise TooLarge(f"carrier of size {n} for 63-bit masks")
     if n ** min(d + 1, _EXPONENT_CAP) > ENUMERATION_GUARD:
         raise TooLarge(f"order {n} at degree {d}")
-    # words with leading coefficient 1 against words with any leading one
+    # the guard counts the words with leading coefficient 1 against all
+    # words, more pairs than are built below (only the left words ending
+    # in 1 too), so that the degrees it refuses do not depend on that trim
     left = d + 1 if n == 1 else (n ** (d + 1) - 1) // (n - 1)
     if left * n * left > PAIR_GUARD:
         raise TooLarge(f"{left} x {n * left} word pairs")
-    M = np.array(table.mul, dtype=np.int64)
-    F = _word_vectors(M, table.id, (np.arange(n),), d)
+    M = np.array(table.mul, dtype=np.uint8)
+    occurrences = (np.arange(n),)
+    F = _word_vectors(M, table.id, occurrences, d)
     G = M[:, F].reshape(-1, n)  # row (a, w) holds a*w
     pow2 = 1 << np.arange(n, dtype=np.int64)
     masks = set()
-    for f in F:
+    # f*c differs from g*c where f differs from g, so f may end in 1
+    for f in _trailing_one(M, F, occurrences):
         masks.update(np.unique((f != G) @ pow2).tolist())
     return SetFamily(n, frozenset(masks))
 
@@ -187,12 +209,15 @@ def group_family(table: FiniteGroupTable, d: int) -> SetFamily:
     if (n ** min(d + 1, _EXPONENT_CAP) * 2 ** min(d, _EXPONENT_CAP)
             > ENUMERATION_GUARD):
         raise TooLarge(f"order {n} at degree {d} with signs")
-    M = np.array(table.mul, dtype=np.int64)
-    occurrences = (np.arange(n), np.array(table.inv, dtype=np.int64))
-    F = _word_vectors(M, table.id, occurrences, d)
-    # a*w(x) != 1 exactly when w(x) != a^-1, and a^-1 runs over the carrier
+    M = np.array(table.mul, dtype=np.uint8)
+    occurrences = (np.arange(n), np.array(table.inv, dtype=np.uint8))
+    F = _trailing_one(M, _word_vectors(M, table.id, occurrences, d),
+                      occurrences)
+    # a*w*c(x) != 1 exactly when w(x) != a^-1*c^-1, and a^-1*c^-1 runs
+    # over the carrier
     pow2 = 1 << np.arange(n, dtype=np.int64)
-    masks = np.unique((F[:, None, :] != np.arange(n)[:, None]) @ pow2)
+    masks = np.unique((F[:, None, :] != np.arange(n, dtype=np.uint8)[:, None])
+                      @ pow2)
     return SetFamily(n, frozenset(masks.tolist()))
 
 

@@ -46,3 +46,15 @@ def test_intersect_certificates_pinned(bench):
         digest.update(fn(tracing.NULL, *args))
     assert digest.hexdigest() == \
         "eadef1b4aec949a245969ee45e8755a9ede76a99a18900c0ca158cec30ddeb34"
+
+
+def test_checks_certificates_pinned(bench):
+    # one pass of the checks cases, which carry every family size the
+    # monotone cases report; a change of a case updates this digest and
+    # says so in CHANGES.md
+    tracing, workloads = bench
+    digest = hashlib.sha256()
+    for fn, args in workloads.SETUPS["checks"](0):
+        digest.update(fn(tracing.NULL, *args))
+    assert digest.hexdigest() == \
+        "d20f8c6cd5478702ac83809f249f7b831b695c194269acaf9b9f7c46a5f54093"

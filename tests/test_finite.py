@@ -1,5 +1,6 @@
 """Exhaustive finite-group oracles: tables, families, closures."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -106,7 +107,8 @@ def table_named(name):
 
 
 @pytest.mark.parametrize("name,d", [("Z2", 1), ("Z3", 1), ("S3", 1), ("Z4", 1),
-                                    ("S3-relabelled", 1)])
+                                    ("S3-relabelled", 1), ("S3", 2),
+                                    ("S3-relabelled", 2), ("Z6", 2)])
 def test_semigroup_family_matches_naive_enumeration(name, d):
     table = table_named(name)
     assert semigroup_family(table, d).masks == \
@@ -132,7 +134,8 @@ def naive_group_family(table, d):
 
 
 @pytest.mark.parametrize("name,d", [("Z3", 1), ("S3", 1), ("Z4", 2),
-                                    ("S3-relabelled", 1)])
+                                    ("S3-relabelled", 1), ("S3", 2),
+                                    ("S3-relabelled", 2), ("Z6", 2)])
 def test_group_family_matches_naive_enumeration(name, d):
     table = table_named(name)
     assert group_family(table, d).masks == naive_group_family(table, d).masks
@@ -159,9 +162,22 @@ def test_enumeration_guards(monkeypatch):
 
 
 def test_semigroup_family_s4_degree_two():
-    # the largest family inside the guards: 601 x 14,424 word pairs
+    # the largest family inside the guards: 26 x 14,424 word pairs
     assert len(semigroup_family(builtin("S4"), 2)) == 4411
     assert len(group_family(builtin("S4"), 2)) == 163
+
+
+@pytest.mark.parametrize("family,digest", [
+    (semigroup_family,
+     "3f6250238d07b1c3921dce2085dc683cb0f4024921fb28b62c53f7ffd66ee3f1"),
+    (group_family,
+     "8e13d513cdbb294b01c2bf47a5fbababb732a1d698426913146d7c482c6d3776"),
+], ids=["semigroup", "group"])
+def test_s4_degree_two_masks_pinned(family, digest):
+    # the naive enumerations are too slow on S4, so its degree-2 families
+    # are pinned as the enumeration over every leading-1 word built them
+    masks = sorted(family(builtin("S4"), 2).masks)
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
 
 
 def test_families_refuse_carriers_wider_than_masks():
