@@ -190,12 +190,14 @@ def _separate_case(a, p, m, bound_n) -> dict:
     sols = solve_on_Tm(a, p, m, bound_n)
     brute = brute_solve_on_Tm(a, p, m, bound_n)
     bnd = finiteness_bound(a, p, m)
+    # the closed form reads its case from the bound, so the bound is
+    # checked against the enumeration
     if isinstance(bnd, AllEven):
         tag = "all_even"
-        bound_ok = sols == frozenset(range(0, bound_n + 1, 2))
+        bound_ok = brute == frozenset(range(0, bound_n + 1, 2))
     else:
         tag = "finite"
-        bound_ok = sols <= bnd.indices
+        bound_ok = brute <= bnd.indices
     return {
         "m": m, "p": p, "a": g_to_json(a),
         "solutions": sorted(sols),

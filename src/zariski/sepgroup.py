@@ -111,37 +111,32 @@ class FiniteCandidates:
 
 
 def finiteness_bound(a: GElement, p: int, m: int):
-    """Either AllEven, or the finite candidate set of generator indices
-    that can possibly solve a * x^p = 1 on T_m."""
+    """Classify a * x^p = 1 on T_m: AllEven when a is the identity and
+    m divides p, else the finite candidate set of generator indices that
+    can possibly solve it."""
     if m < 1 or p < 1:
         raise ValueError("need m >= 1 and p >= 1")
-    h = frozenset(n for k, n in a._exp if k == m)
-    if p % m == 0 and not h:
+    if a.is_identity() and p % m == 0:
         return AllEven()
-    return FiniteCandidates(h)
+    return FiniteCandidates(frozenset(n for k, n in a._exp if k == m))
 
 
 def solve_on_Tm(a: GElement, p: int, m: int, bound: int) -> frozenset:
     """All generator indices n <= bound with a * x^p = 1 at x = T_m point n.
 
-    Closed form: a must vanish off component m; writing h for its
-    component-m exponent vector, n solves iff h is supported inside {n}
-    and h(n) + p is zero (odd n: in Z; even n: mod m).
+    Closed form on the finite case of ``finiteness_bound``: a candidate j
+    solves iff a is a single exponent e at (m, j) and e + p is zero (odd
+    j: in Z; even j: mod m).
     """
-    if m < 1 or p < 1:
-        raise ValueError("need m >= 1 and p >= 1")
-    if any(k != m for k, _ in a._exp) or len(a._exp) > 1:
+    bnd = finiteness_bound(a, p, m)
+    if isinstance(bnd, AllEven):
+        return frozenset(range(0, bound + 1, 2))
+    if len(a._exp) != 1 or not bnd.indices:
         return frozenset()
-    if not a._exp:
-        if p % m == 0:
-            return frozenset(range(0, bound + 1, 2))
-        return frozenset()
-    ((_, j), e), = a._exp.items()
-    if j > bound:
-        return frozenset()
-    if j % 2 == 1:
-        return frozenset({j}) if e + p == 0 else frozenset()
-    return frozenset({j}) if (e + p) % m == 0 else frozenset()
+    (j,) = bnd.indices
+    e = a._exp[m, j]
+    residue = e + p if j % 2 == 1 else (e + p) % m
+    return frozenset({j}) if j <= bound and residue == 0 else frozenset()
 
 
 def brute_solve_on_Tm(a: GElement, p: int, m: int, bound: int) -> frozenset:

@@ -77,18 +77,17 @@ class SymOmegaOracle:
     """No-algebraicity oracle for the finitary symmetric group on N.
 
     Both methods get the partial map ``b`` built so far as a dict, point ->
-    image; ``choose_image`` also gets the ``forbidden`` set of translates.
-    The construction keeps growing both after the call, so an oracle must
-    not change either of them or keep a reference to it.  Every finite
-    injective partial map extends, and a fresh image for q is simply the
-    smallest natural avoiding the forbidden translates and the image of
-    ``b``.
+    image; ``choose_image`` also gets the ``forbidden`` set of translates,
+    which already holds every image of ``b`` (each point is its own
+    translate).  The construction keeps growing both after the call, so an
+    oracle must not change either of them or keep a reference to it.
+    Every finite injective partial map extends, and a fresh image for q is
+    simply the smallest natural outside ``forbidden``.
     """
 
     def choose_image(self, b: dict, q: int, forbidden) -> int:
-        used = set(b.values())
         a = 0
-        while a in forbidden or a in used:
+        while a in forbidden:
             a += 1
         return a
 

@@ -9,11 +9,13 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from zariski import cli, finite
+from zariski import cli, finite, words
 from zariski.cli import main
 from zariski.errors import InfeasibleBounds, ZariskiError
-from zariski.perm import IDENTITY, transposition
-from zariski.ragged import NormStep, pair_of_rows, pair_to_json, signature
+from zariski.groups import SYM
+from zariski.perm import IDENTITY, FinPermutation, transposition
+from zariski.ragged import (NormStep, membership, pair_of_rows, pair_to_json,
+                            signature)
 from zariski.randgen import rand_moving_perm, rand_proper_pair
 from zariski.witness import SymOmegaOracle
 
@@ -141,6 +143,23 @@ def test_intersect(tmp_path):
         [17, 19, 14]
 
 
+def test_witness_and_intersect_of_full_sets(tmp_path):
+    # T01 != T12 holds everywhere, so the pair normalizes to Full
+    full = write_pair(tmp_path, pair_of_rows([[T01]], [[transposition(1, 2)]]),
+                      "full.json")
+    code, report = run_json(tmp_path, ["witness", full])
+    assert code == 0
+    assert report["cases"] == [{"tag": "full", "witness": [],
+                                "membership": True, "pass": True}]
+    code, report = run_json(
+        tmp_path, ["intersect", full, write_pair(tmp_path, COMMUTE)])
+    assert code == 0
+    case = report["cases"][0]
+    assert case["pass"]
+    witness = FinPermutation.from_json(case["witness"])
+    assert membership(COMMUTE, witness, SYM)
+
+
 def test_separate(tmp_path):
     code, report = run_json(
         tmp_path, ["separate", "--cases", "5", "--m-max", "3", "--seed", "2"])
@@ -165,6 +184,25 @@ def test_finite_check(tmp_path):
     case = report["cases"][0]
     assert case["families_equal"] == [True, True, True]
     assert case["reduction_mismatches"] == []
+
+
+def test_finite_check_reports_reduction_mismatches(tmp_path, monkeypatch):
+    real = words.group_ineq_to_semigroup_pair
+
+    def drop_inverses(w, G):
+        # wrong for every word with an x^-1: it reads x in its place
+        return real(words.GroupWord(w.coefficients, (1,) * w.degree), G)
+
+    monkeypatch.setattr(words, "group_ineq_to_semigroup_pair", drop_inverses)
+    code, report = run_json(
+        tmp_path, ["finite-check", "--group", "Z3", "--max-degree", "1"])
+    assert code == 1
+    case = report["cases"][0]
+    assert case["pass"] is False
+    # a x^-1 b != 1 and a x b != 1 differ on Z3 unless a + b = 0
+    assert case["reduction_mismatches"] == [
+        {"coeffs": [a, b], "signs": [-1]}
+        for a in range(3) for b in range(3) if (a + b) % 3]
 
 
 @pytest.mark.parametrize("group,degree,equal", [

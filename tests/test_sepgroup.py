@@ -113,7 +113,14 @@ def test_closed_form_equals_brute_on_random_inputs():
         a = rand_gelement(rng, max_k=6, max_gen=12, max_exp=5)
         m = rng.randint(1, 6)
         p = rng.randint(1, 8)
-        assert solve_on_Tm(a, p, m, 40) == brute_solve_on_Tm(a, p, m, 40)
+        brute = brute_solve_on_Tm(a, p, m, 40)
+        assert solve_on_Tm(a, p, m, 40) == brute
+        # the tag agrees with the enumeration
+        bnd = finiteness_bound(a, p, m)
+        if isinstance(bnd, AllEven):
+            assert brute == frozenset(range(0, 41, 2))
+        else:
+            assert brute <= bnd.indices
 
 
 def test_finiteness_bound_examples():
@@ -121,6 +128,9 @@ def test_finiteness_bound_examples():
     a = g_element({5: {3: -2}})
     assert finiteness_bound(a, 2, 5) == FiniteCandidates(frozenset({3}))
     assert finiteness_bound(g_identity(), 5, 5) == AllEven()
+    # m | p with a coefficient off component m: no solution, not AllEven
+    a = g_element({3: {1: 1}})
+    assert finiteness_bound(a, 2, 2) == FiniteCandidates(frozenset())
 
 
 def test_separation_dichotomy_small_scale():
@@ -131,7 +141,7 @@ def test_separation_dichotomy_small_scale():
                 a = rand_gelement(rng)
                 bnd = finiteness_bound(a, p, m)
                 assert isinstance(bnd, FiniteCandidates)
-                assert solve_on_Tm(a, p, m, 60) <= bnd.indices
+                assert brute_solve_on_Tm(a, p, m, 60) <= bnd.indices
         evens = solve_on_Tm(g_identity(), m, m, 60)
         assert evens == frozenset(range(0, 61, 2))
 

@@ -138,7 +138,8 @@ def test_symw_oracle_examples():
     oracle = symw_oracle()
     assert oracle.choose_image({}, 5, {0, 1}) == 2
     b = {1: 2}
-    assert oracle.choose_image(b, 0, {0, 1}) == 3  # 2 is in the image
+    # the construction passes a forbidden set that holds every image of b
+    assert oracle.choose_image(b, 0, {0, 1, 2}) == 3
     assert oracle.complete(b) == FinPermutation({1: 2, 2: 1})
     assert b == {1: 2}  # neither method mutates the map
     assert oracle.complete({0: 1}) == T01
@@ -154,8 +155,15 @@ class _NoImageOracle(SymOmegaOracle):
         return None
 
 
+class _RepeatImageOracle(SymOmegaOracle):
+    """Returns an image it already chose, once it has chosen one."""
+
+    def choose_image(self, b, q, forbidden):
+        return min(b.values(), default=super().choose_image(b, q, forbidden))
+
+
 def test_oracle_exhausted():
-    for oracle in (_BadOracle(), _NoImageOracle()):
+    for oracle in (_BadOracle(), _NoImageOracle(), _RepeatImageOracle()):
         with pytest.raises(OracleExhausted):
             construct_witness(COMMUTE_T01, oracle)
 
