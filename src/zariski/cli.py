@@ -51,36 +51,26 @@ MAX_BOUND_N = 65536
 MAX_SAMPLED = 2 ** 20
 
 
-def _load_json(path: str):
+class ParseFailure(Exception):
+    pass
+
+
+def _load_pair(path: str) -> MatrixPair:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON, bytes that are not UTF-8 and
         # integer literals past Python's digit limit
         raise ParseFailure(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
-
-
-class ParseFailure(Exception):
-    pass
-
-
-def _load_pair(path: str) -> MatrixPair:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseFailure(f'{path}: a matrix pair is a JSON object with '
-                           f'keys "A" and "B", not a {type(data).__name__}')
-    missing = [k for k in ("A", "B") if k not in data]
-    if missing:
-        raise ParseFailure(f"{path}: the matrix pair has no key "
-                           + " or ".join(f'"{k}"' for k in missing))
     try:
         return pair_from_json(data)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseFailure(f"{path}: malformed matrix pair: {exc}") from exc
 
 
@@ -411,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("intersect", "witness the intersection of two basic sets")):
         p = _add_command(subs, name, cmd_witness, helptext)
         p.add_argument("input", nargs="?", default=None,
-                       help="matrix-pair JSON file")
+                       help="matrix-pair JSON file ('-' for stdin)")
         p.add_argument("input2", nargs="?", default=None,
                        help="second matrix-pair JSON file")
         p.add_argument("--random", action="store_true",

@@ -11,6 +11,15 @@ plain dict too, which ``extend`` completes to a permutation.
 
 from __future__ import annotations
 
+import reprlib
+
+
+def _json_list(item, what: str, length=None) -> list:
+    if not isinstance(item, list) or length not in (None, len(item)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise ValueError(f"{what} must be {shape}, got {reprlib.repr(item)}")
+    return item
+
 
 def compose_maps(p: dict, q: dict) -> dict:
     """Compose two moved-point dicts left to right, x -> q(p(x)), pruning
@@ -74,18 +83,19 @@ class FinPermutation:
     def support(self) -> frozenset:
         return frozenset(self._map)
 
-    def to_pairs(self) -> tuple:
-        """Canonical encoding: (point, image) pairs sorted by point."""
-        return tuple(sorted(self._map.items()))
-
     def to_json(self) -> list:
-        return [[x, y] for x, y in self.to_pairs()]
+        """Canonical encoding: [point, image] pairs sorted by point."""
+        return [[x, y] for x, y in sorted(self._map.items())]
 
     @classmethod
     def from_json(cls, data) -> "FinPermutation":
-        """Inverse of ``to_json``: a list of integer [point, image] pairs,
-        each point listed at most once."""
-        pairs = [(x, y) for x, y in data]
+        """Decode the ``to_json`` format.  Raises ValueError on any other
+        shape, and on a repeated point or a map that is not a bijection."""
+        try:
+            pairs = [(x, y) for x, y in _json_list(data, "a permutation")]
+        except (TypeError, ValueError):
+            raise ValueError("a permutation must be a list of [point, image] "
+                             f"pairs, got {reprlib.repr(data)}") from None
         if any(type(v) is not int for pair in pairs for v in pair):
             raise ValueError("points must be integers")
         m = dict(pairs)
@@ -102,7 +112,7 @@ class FinPermutation:
     def __repr__(self) -> str:
         if not self._map:
             return "FinPermutation()"
-        body = ", ".join(f"{x}: {y}" for x, y in self.to_pairs())
+        body = ", ".join(f"{x}: {y}" for x, y in sorted(self._map.items()))
         return f"FinPermutation({{{body}}})"
 
 

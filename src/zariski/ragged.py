@@ -30,7 +30,7 @@ from itertools import chain
 
 from zariski.errors import InvalidAdjuster, NotNormalized
 from zariski.groups import Monoid, SymOmega
-from zariski.perm import FinPermutation
+from zariski.perm import FinPermutation, _json_list
 
 
 @dataclass(frozen=True)
@@ -251,18 +251,23 @@ def normal_membership(form: NormalForm, x, G: Monoid) -> bool:
     return membership(form.pair, x, G)
 
 
-def matrix_to_json(R: RaggedMatrix) -> list:
-    return [[c.to_json() for c in row] for row in R.rows]
-
-
-def matrix_from_json(data) -> RaggedMatrix:
-    return RaggedMatrix(tuple(tuple(FinPermutation.from_json(c) for c in row)
-                              for row in data))
-
-
 def pair_to_json(P: MatrixPair) -> dict:
-    return {"A": matrix_to_json(P.A), "B": matrix_to_json(P.B)}
+    return {k: [[c.to_json() for c in row] for row in R.rows]
+            for k, R in (("A", P.A), ("B", P.B))}
 
 
 def pair_from_json(data) -> MatrixPair:
-    return MatrixPair(matrix_from_json(data["A"]), matrix_from_json(data["B"]))
+    """Decode the ``pair_to_json`` format; keys other than "A" and "B" are
+    ignored.  Raises ValueError on any other shape, naming the part that
+    is wrong."""
+    if not isinstance(data, dict):
+        raise ValueError('a matrix pair is a JSON object with keys "A" and '
+                         f'"B", not a {type(data).__name__}')
+    missing = " or ".join(f'"{k}"' for k in ("A", "B") if k not in data)
+    if missing:
+        raise ValueError(f"the matrix pair has no key {missing}")
+    A, B = (RaggedMatrix(tuple(
+        tuple(FinPermutation.from_json(c)
+              for c in _json_list(row, f'a row of "{k}"'))
+        for row in _json_list(data[k], f'"{k}"'))) for k in ("A", "B"))
+    return MatrixPair(A, B)

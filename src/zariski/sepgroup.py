@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
+from zariski.perm import _json_list
+
 
 def _reduce(k: int, n: int, e: int) -> int:
     # even-index exponents live in Z_k for k >= 1; everything else in Z
@@ -168,13 +170,6 @@ def g_to_json(u: GElement) -> dict:
     by_k = groupby(sorted(u._exp.items()), key=lambda item: item[0][0])
     return {"components": [[k, [[n, e] for (_, n), e in items]]
                            for k, items in by_k]}
-
-
-def _json_list(item, what: str, length=None) -> list:
-    if not isinstance(item, list) or length not in (None, len(item)):
-        shape = "a list" if length is None else f"a list of {length}"
-        raise ValueError(f"{what} must be {shape}, got {item!r}")
-    return item
 
 
 def _json_int(item, what: str) -> int:

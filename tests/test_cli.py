@@ -285,16 +285,20 @@ def test_parse_error_exits_2(tmp_path, capsys):
     for data, problem in (
             ([1, 2], "not a list"),
             ({"A": [[[[0, 1], [1, 0]]]]}, 'no key "B"'),
+            ({"A": 5, "B": 5}, '"A" must be a list'),
             ({"A": [[[[0, 1]], []]], "B": [[[], []]]},
              "moved points must map onto themselves"),
-            # the README's pair with a malformed (0 1): a repeated point
-            # once decoded silently to the identity
+            # the README's pair with a malformed (0 1): a repeated point,
+            # an empty object or an empty string once decoded silently to
+            # the identity
             *(({"A": [[perm, []]], "B": [[[], perm]]}, problem)
               for perm, problem in (
                   ([[0, 1], [0, 0]], "listed twice"),
                   ([[0, 1.7], [1.2, 0]], "must be integers"),
                   ([["0", "1"], [1, 0]], "must be integers"),
-                  ([[True, 0], [0, 1]], "must be integers")))):
+                  ([[True, 0], [0, 1]], "must be integers"),
+                  ({}, "a permutation must be a list"),
+                  ("", "a permutation must be a list")))):
         bad.write_text(json.dumps(data))
         for command in ("normalize", "witness"):
             assert main([command, str(bad)]) == 2
@@ -308,6 +312,47 @@ def test_parse_error_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"error: invalid JSON in {bad}: ")
             assert "Traceback" not in err
+
+
+def test_parse_error_message_is_bounded(tmp_path, capsys):
+    # the message echoes only a prefix of a long offending value
+    bad = tmp_path / "bad.json"
+    for data, problem in (({"A": "x" * 100_000, "B": []}, '"A" must be'),
+                          ({"A": [["x" * 100_000]], "B": [[[]]]},
+                           "a permutation must be")):
+        bad.write_text(json.dumps(data))
+        for command in ("normalize", "witness"):
+            assert main([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert problem in err
+            assert len(err.encode()) < 1024
+
+
+def test_pair_from_stdin(tmp_path):
+    """'-' reads the pair from standard input, with the same report as the
+    file; malformed input on standard input exits 2."""
+    text = json.dumps(pair_to_json(COMMUTE))
+    path = tmp_path / "pair.json"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def run(args, stdin):
+        return subprocess.run(
+            [sys.executable, "-m", "zariski.cli", *args], input=stdin,
+            env=env, capture_output=True, text=True, timeout=60)
+
+    for command in ("normalize", "witness"):
+        piped = run([command, "-"], text)
+        assert piped.returncode == 0, piped.stderr
+        from_file = run([command, str(path)], "")
+        assert from_file.returncode == 0, from_file.stderr
+        reports = [json.loads(done.stdout) for done in (piped, from_file)]
+        for report in reports:
+            del report["wall_time_s"]
+        assert reports[0] == reports[1]
+    done = run(["normalize", "-"], "{")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: invalid JSON in -: ")
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

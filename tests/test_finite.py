@@ -31,6 +31,12 @@ def test_table_validation():
         FiniteGroupTable([[1, 0], [1, 0]])  # no identity
     with pytest.raises(ValueError):
         FiniteGroupTable([[0, 1], [1, 2]])  # out of range
+    with pytest.raises(ValueError, match="square"):
+        FiniteGroupTable([[0, 1], [1]])
+    # a loop with identity 0 and inverses whose product is not associative
+    with pytest.raises(ValueError, match="associative"):
+        FiniteGroupTable([[0, 1, 2, 3, 4], [1, 0, 4, 2, 3], [2, 3, 0, 4, 1],
+                          [3, 4, 1, 0, 2], [4, 2, 3, 1, 0]])
 
 
 def test_table_group_interface():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zariski.errors import InvalidAdjuster
 from zariski.groups import NAT_PLUS, SYM
@@ -13,6 +13,7 @@ from zariski.ragged import (MatrixPair, RaggedMatrix, membership,
                             pair_from_json, pair_of_rows, pair_to_json,
                             row_eval, signature, stack)
 from zariski.randgen import DEFAULT_ADJUSTER, rand_pair, rand_perm
+from zariski.sepgroup import g_from_json
 
 T01 = transposition(0, 1)
 T12 = transposition(1, 2)
@@ -249,3 +250,27 @@ def test_pair_validation_and_json():
                    RaggedMatrix(((IDENTITY,), (IDENTITY,))))
     data = pair_to_json(COMMUTE_T01)
     assert pair_from_json(data) == COMMUTE_T01
+
+
+JSON_VALUES = st.recursive(
+    st.integers(min_value=-2, max_value=4) | st.floats() | st.booleans()
+    | st.none() | st.text(max_size=3),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(
+                          st.sampled_from(["A", "B", "components"])
+                          | st.text(max_size=3), children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=JSON_VALUES)
+@example(data=[1, 2])
+@example(data=5)
+@example(data={"A": 5, "B": 5})
+def test_decoders_raise_only_value_error(data):
+    """Every JSON decoder returns a value or raises ValueError."""
+    for decode in (pair_from_json, FinPermutation.from_json, g_from_json):
+        try:
+            decode(data)
+        except ValueError:
+            pass

@@ -105,6 +105,9 @@ def test_solver_edge_cases():
         solve_on_Tm(a, 0, 4, 50)
     with pytest.raises(ValueError):
         solve_on_Tm(a, 1, 0, 50)
+    for p, m in ((0, 4), (1, 0)):
+        with pytest.raises(ValueError, match="need m >= 1 and p >= 1"):
+            brute_solve_on_Tm(a, p, m, 50)
 
 
 def test_closed_form_equals_brute_on_random_inputs():

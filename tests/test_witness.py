@@ -15,6 +15,7 @@ from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY, transposition
 from zariski.ragged import membership, pair_of_rows, stack
 from zariski.randgen import rand_proper_pair
+from zariski import witness
 from zariski.witness import (SymOmegaOracle, construct_witness,
                              intersect_witness, pick_separators, symw_oracle)
 
@@ -162,10 +163,26 @@ class _RepeatImageOracle(SymOmegaOracle):
         return min(b.values(), default=super().choose_image(b, q, forbidden))
 
 
-def test_oracle_exhausted():
+class _BoundedOracle(SymOmegaOracle):
+    """Fails the test, rather than hanging it, after a few calls."""
+
+    calls = 0
+
+    def choose_image(self, b, q, forbidden):
+        self.calls += 1
+        assert self.calls <= 10, "the construction does not stop"
+        return super().choose_image(b, q, forbidden)
+
+
+def test_oracle_exhausted(monkeypatch):
     for oracle in (_BadOracle(), _NoImageOracle(), _RepeatImageOracle()):
         with pytest.raises(OracleExhausted):
             construct_witness(COMMUTE_T01, oracle)
+    # a stalled loop stops at the step budget instead of running forever
+    monkeypatch.setattr(witness, "_advance", lambda row, p, v, xmap: (p, v))
+    with pytest.raises(OracleExhausted,
+                       match="3 steps exceed the step budget of 2"):
+        construct_witness(COMMUTE_T01, _BoundedOracle())
 
 
 def _alpha_chain(row, m, xmap):

@@ -176,6 +176,8 @@ def test_formal_inverse_property(img_a, img_x):
 
 
 def test_word_validation():
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        GroupWord((), ())
     with pytest.raises(ValueError):
         GroupWord((IDENTITY,), (1,))
     with pytest.raises(ValueError):
