@@ -18,7 +18,10 @@ Submodules:
 Permutations are dicts of moved points, and the few loops that work on
 those dicts directly live beside their callers (``perm``, ``ragged`` and
 ``witness``).  Only ``finite`` uses numpy, for its families over a group's
-multiplication table.  It builds the value vectors of the words with
+multiplication table, and it imports numpy on the first family call:
+``witness``, ``normalize``, ``intersect``, ``separate`` and ``symcheck``
+never load it, and a ``witness`` run on a small pair takes about 0.1 s from
+start to exit.  ``finite`` builds the value vectors of the words with
 leading coefficient 1, from the identity row up, and compares only those
 with trailing coefficient 1 too, moving every constant outer factor to the
 other side: a*w*c differs from f, or from 1, where w differs from

@@ -17,6 +17,11 @@ a*w*c(x) != 1 exactly when w(x) != a^-1*c^-1, so the group family compares
 each such w with every constant.  The tests check both against the fully
 naive enumeration.
 
+The functions that build the families import numpy on their first call,
+so importing this module (and ``zariski.cli``) does not load it: numpy is
+most of the package's import time and about 13 MB of resident memory, and
+only ``finite-check`` needs it.
+
 A topology on a finite carrier is generated from its smallest open sets:
 the one around x is the intersection of the generators that contain x, and
 every open set is a union of them.
@@ -26,8 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from zariski.errors import CarrierMismatch, TooLarge, UnknownGroup
 from zariski.groups import Group
@@ -155,6 +158,8 @@ def _word_vectors(M: np.ndarray, one: int, occurrences, d: int) -> np.ndarray:
     laid out by occurrence, then by trailing coefficient: block a holds every
     shorter word times an occurrence times a.  The levels come in order of
     degree, so the words of degree <= d-1 are the leading rows."""
+    import numpy as np
+
     n = M.shape[0]
     levels = [np.full((1, n), one, dtype=np.uint8)]
     for _ in range(d):
@@ -170,6 +175,8 @@ def _trailing_one(M: np.ndarray, F: np.ndarray, occurrences) -> np.ndarray:
     <= d-1, and those words lead it.  In the last level the words ending
     in 1 are the identity's block, not every n-th row, so they are built
     from the shorter words instead of sliced out."""
+    import numpy as np
+
     shorter = F[:(len(F) - 1) // (len(occurrences) * M.shape[0])]
     return np.concatenate([F[:1]] + [M[shorter, occ[None, :]]
                                      for occ in occurrences])
@@ -178,6 +185,8 @@ def _trailing_one(M: np.ndarray, F: np.ndarray, occurrences) -> np.ndarray:
 def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     """All sets {x : f(x) != g(x)} over pairs of semigroup words of degree
     at most d."""
+    import numpy as np
+
     n = table.order
     if n > 63:
         raise TooLarge(f"carrier of size {n} for 63-bit masks")
@@ -203,6 +212,8 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
 
 def group_family(table: FiniteGroupTable, d: int) -> SetFamily:
     """All sets {x : w(x) != 1} over group words of degree at most d."""
+    import numpy as np
+
     n = table.order
     if n > 63:
         raise TooLarge(f"carrier of size {n} for 63-bit masks")

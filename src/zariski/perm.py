@@ -123,6 +123,8 @@ def transposition(x: int, y: int) -> FinPermutation:
     """The permutation swapping x and y and fixing everything else."""
     if x == y:
         raise ValueError("transposition needs two distinct points")
+    if x < 0 or y < 0:
+        raise ValueError("points must be non-negative integers")
     return FinPermutation._trusted({x: y, y: x})
 
 

@@ -19,6 +19,7 @@ make checkable.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -174,7 +175,8 @@ def g_to_json(u: GElement) -> dict:
 
 def _json_int(item, what: str) -> int:
     if not isinstance(item, int) or isinstance(item, bool):
-        raise ValueError(f"{what} must be an integer, got {item!r}")
+        raise ValueError(
+            f"{what} must be an integer, got {reprlib.repr(item)}")
     return item
 
 

@@ -355,6 +355,39 @@ def test_pair_from_stdin(tmp_path):
     assert done.stderr.startswith("error: invalid JSON in -: ")
 
 
+COLD_START = """\
+import os, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # any import of numpy now fails
+import zariski.cli
+print(sys.modules.get("numpy") is not None)
+for argv in sys.argv[2:]:
+    print(zariski.cli.main(argv.split() + ["--out", os.devnull]))
+print(sys.modules.get("numpy") is not None)
+"""
+
+
+def test_subcommands_start_without_numpy(tmp_path):
+    """Only the finite families import numpy: five subcommands run with
+    numpy blocked, and finite-check loads it on its first family call."""
+    path = write_pair(tmp_path, COMMUTE)
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def run(mode, *argvs):
+        done = subprocess.run([sys.executable, "-c", COLD_START, mode, *argvs],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    assert run("block", f"witness {path}", f"normalize {path} --cases 50",
+               "intersect --random --cases 20",
+               "separate --m-min 2 --m-max 3 --cases 10 --bound-N 50",
+               "symcheck --cases 20") == ["False"] + ["0"] * 5 + ["False"]
+    assert run("allow", "finite-check --group Z3 --max-degree 1") == [
+        "False", "0", "True"]
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     for out in (tmp_path / "no" / "such" / "r.json", tmp_path):
         assert main(["symcheck", "--cases", "1", "--out", str(out)]) == 2

@@ -91,6 +91,8 @@ def test_validation():
         FinPermutation({-1: 0, 0: -1})
     with pytest.raises(ValueError):
         transposition(2, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        transposition(-1, 2)
     with pytest.raises(ValueError):
         extend({0: 5, 1: 5})  # not injective
     with pytest.raises(ValueError):

@@ -207,3 +207,7 @@ def test_json_rejects_repeats_and_bad_shapes():
                  {"components": [[1, [[2, None]]]]}):  # non-integers
         with pytest.raises(ValueError):
             g_from_json(data)
+    # a huge bad value is echoed abbreviated
+    with pytest.raises(ValueError, match="component index") as info:
+        g_from_json({"components": [["x" * 100000, []]]})
+    assert len(str(info.value)) < 200
