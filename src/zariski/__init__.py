@@ -21,11 +21,11 @@ those dicts directly live beside their callers (``perm``, ``ragged`` and
 multiplication table, and it imports numpy on the first family call:
 ``witness``, ``normalize``, ``intersect``, ``separate`` and ``symcheck``
 never load it, and a ``witness`` run on a small pair takes about 0.1 s from
-start to exit.  ``finite`` builds the value vectors of the words with
-leading coefficient 1, from the identity row up, and compares only those
-with trailing coefficient 1 too, moving every constant outer factor to the
-other side: a*w*c differs from f, or from 1, where w differs from
-a^-1*f*c^-1, or from a^-1*c^-1.
+start to exit.  ``finite`` builds the value vectors of the words t whose
+leading and trailing coefficients are 1, since every word is a*t*b with
+such a t and constants a and b, and moves the outer factors to the other
+side: a*t*b differs from f, or from 1, where t differs from a^-1*f*b^-1,
+or from a^-1*b^-1.
 """
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ invocations produce identical reports; the JSON format carries a
 ``wall_time_s`` field, which is the only non-deterministic part.
 
 Exit codes: 0 all cases pass.  1 a case failed, the input set is empty,
-or the package raised another error.  2 malformed or unreadable input, an
+or the package raised another error.  2 malformed or unreadable input, a
+matrix pair whose rows x (rows + degree sum) is above 2^18, an
 out-of-range option, an empty ``separate`` range, an enumeration guard, or
 a report that cannot be written.
 """
@@ -49,6 +50,11 @@ MAX_M = 32
 MAX_BOUND_N = 65536
 # a random pair's entries move at most 2 x this many points in all
 MAX_SAMPLED = 2 ** 20
+# largest rows x (rows + degree sum) of a pair read from a file: each
+# normalize step records the whole signature and each witness step 2 x rows
+# counters, so memory grows as rows^2 x degree; two stacked intersect
+# inputs stay within 2^20
+MAX_PAIR_SIZE = 2 ** 18
 
 
 class ParseFailure(Exception):
@@ -69,9 +75,14 @@ def _load_pair(path: str) -> MatrixPair:
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
     try:
-        return pair_from_json(data)
+        pair = pair_from_json(data)
     except ValueError as exc:
         raise ParseFailure(f"{path}: malformed matrix pair: {exc}") from exc
+    size = pair.num_rows * (pair.num_rows + pair.degree_sum())
+    if size > MAX_PAIR_SIZE:
+        raise ParseFailure(f"{path}: rows x (rows + degree sum) must be at "
+                           f"most {MAX_PAIR_SIZE}, got {size}")
+    return pair
 
 
 # --- normalize -------------------------------------------------------------

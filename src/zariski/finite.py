@@ -7,15 +7,14 @@ enough to enumerate completely.
 
 Families of basic sets are sets of int64 bitmasks over the carrier
 {0, ..., order-1}, so a carrier of more than 63 elements is refused, and
-the value tables are uint8.  Both families enumerate the words w with
-leading coefficient 1, from the identity row up; any other word is a*w.
-Only those whose trailing coefficient is 1 too are compared: any word is
-a*w*c with such a w.  A pair's difference set does not change when both
-words are multiplied by one element on the left, or on the right, so the
-semigroup family pairs each such w with every word a*w'; and
-a*w*c(x) != 1 exactly when w(x) != a^-1*c^-1, so the group family compares
-each such w with every constant.  The tests check both against the fully
-naive enumeration.
+the value tables are uint8.  Both families build the value rows of the
+words t whose leading and trailing coefficients are 1, since every word is
+a*t*b with such a t and constants a and b.  A pair's difference set does
+not change when both words are multiplied by one element on the left, or
+on the right, so the semigroup family compares each t with every word
+a*t'*b; and a*t*b(x) != 1 exactly when t(x) != a^-1*b^-1, so the group
+family compares each t with every constant.  The tests check both against
+the fully naive enumeration.
 
 The functions that build the families import numpy on their first call,
 so importing this module (and ``zariski.cli``) does not load it: numpy is
@@ -151,35 +150,22 @@ class SetFamily:
 
 
 def _word_vectors(M: np.ndarray, one: int, occurrences, d: int) -> np.ndarray:
-    """Value vectors of the words of degree <= d with leading coefficient
-    ``one`` (the identity), one row per word and one column per value of x.
-    Each x occurrence reads one of the ``occurrences`` arrays (x itself, or
-    x and x^-1) and is followed by every coefficient in turn, so a level is
-    laid out by occurrence, then by trailing coefficient: block a holds every
-    shorter word times an occurrence times a.  The levels come in order of
-    degree, so the words of degree <= d-1 are the leading rows."""
+    """Value vectors of the words t of degree <= d whose leading and
+    trailing coefficients are both ``one`` (the identity), one row per word
+    and one column per value of x; every word of degree <= d is a*t*b for
+    such a t and constants a and b.  Each x occurrence reads one of the
+    ``occurrences`` arrays (x itself, or x and x^-1).  The t of degree k+1
+    are w times an occurrence, for the words w = t*a of degree k."""
     import numpy as np
 
     n = M.shape[0]
     levels = [np.full((1, n), one, dtype=np.uint8)]
+    lead = levels[0]
     for _ in range(d):
-        vx = [M[levels[-1], occ[None, :]] for occ in occurrences]
-        levels.append(np.concatenate([M[v, a] for v in vx for a in range(n)]))
+        levels.append(np.concatenate([M[lead, occ[None, :]]
+                                      for occ in occurrences]))
+        lead = M[levels[-1][:, None, :], np.arange(n)[:, None]].reshape(-1, n)
     return np.concatenate(levels)
-
-
-def _trailing_one(M: np.ndarray, F: np.ndarray, occurrences) -> np.ndarray:
-    """The rows of the words in ``F`` whose trailing coefficient is 1 too:
-    the word 1, and w times an occurrence of x for every shorter w.  With k
-    occurrences and n coefficients, F has 1 + k*n rows per word of degree
-    <= d-1, and those words lead it.  In the last level the words ending
-    in 1 are the identity's block, not every n-th row, so they are built
-    from the shorter words instead of sliced out."""
-    import numpy as np
-
-    shorter = F[:(len(F) - 1) // (len(occurrences) * M.shape[0])]
-    return np.concatenate([F[:1]] + [M[shorter, occ[None, :]]
-                                     for occ in occurrences])
 
 
 def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
@@ -193,20 +179,21 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     if n ** min(d + 1, _EXPONENT_CAP) > ENUMERATION_GUARD:
         raise TooLarge(f"order {n} at degree {d}")
     # the guard counts the words with leading coefficient 1 against all
-    # words, more pairs than are built below (only the left words ending
-    # in 1 too), so that the degrees it refuses do not depend on that trim
+    # words, not the pairs built below (each t against every a*t'*b, fewer
+    # from degree 1 on), so that the degrees it refuses do not depend on
+    # that reduction
     left = d + 1 if n == 1 else (n ** (d + 1) - 1) // (n - 1)
     if left * n * left > PAIR_GUARD:
         raise TooLarge(f"{left} x {n * left} word pairs")
     M = np.array(table.mul, dtype=np.uint8)
-    occurrences = (np.arange(n),)
-    F = _word_vectors(M, table.id, occurrences, d)
-    G = M[:, F].reshape(-1, n)  # row (a, w) holds a*w
+    T = _word_vectors(M, table.id, (np.arange(n),), d)
+    # a*t*b differs from g where t differs from a^-1*g*b^-1, so each t is
+    # compared with every word: row (a, t, b) of G holds a*t*b
+    G = M[M[:, T][:, :, None, :], np.arange(n)[:, None]].reshape(-1, n)
     pow2 = 1 << np.arange(n, dtype=np.int64)
     masks = set()
-    # f*c differs from g*c where f differs from g, so f may end in 1
-    for f in _trailing_one(M, F, occurrences):
-        masks.update(np.unique((f != G) @ pow2).tolist())
+    for t in T:
+        masks.update(np.unique((t != G) @ pow2).tolist())
     return SetFamily(n, frozenset(masks))
 
 
@@ -221,13 +208,12 @@ def group_family(table: FiniteGroupTable, d: int) -> SetFamily:
             > ENUMERATION_GUARD):
         raise TooLarge(f"order {n} at degree {d} with signs")
     M = np.array(table.mul, dtype=np.uint8)
-    occurrences = (np.arange(n), np.array(table.inv, dtype=np.uint8))
-    F = _trailing_one(M, _word_vectors(M, table.id, occurrences, d),
-                      occurrences)
-    # a*w*c(x) != 1 exactly when w(x) != a^-1*c^-1, and a^-1*c^-1 runs
+    T = _word_vectors(M, table.id,
+                      (np.arange(n), np.array(table.inv, dtype=np.uint8)), d)
+    # a*t*b(x) != 1 exactly when t(x) != a^-1*b^-1, and a^-1*b^-1 runs
     # over the carrier
     pow2 = 1 << np.arange(n, dtype=np.int64)
-    masks = np.unique((F[:, None, :] != np.arange(n, dtype=np.uint8)[:, None])
+    masks = np.unique((T[:, None, :] != np.arange(n, dtype=np.uint8)[:, None])
                       @ pow2)
     return SetFamily(n, frozenset(masks.tolist()))
 

@@ -328,6 +328,25 @@ def test_parse_error_message_is_bounded(tmp_path, capsys):
             assert len(err.encode()) < 1024
 
 
+def test_oversized_pair_exits_2(tmp_path, capsys):
+    # rows x (rows + degree sum) is capped at 2^18: 512 constant rows fit,
+    # 513 (263,169) do not, on every command that reads a pair
+    paths = {}
+    for rows in (512, 513):
+        paths[rows] = tmp_path / f"pair{rows}.json"
+        paths[rows].write_text(json.dumps(
+            {"A": [[[[0, 1], [1, 0]]]] * rows, "B": [[[]]] * rows}))
+    for rows, code in ((512, 0), (513, 2)):
+        path = str(paths[rows])
+        for argv in (["normalize", path, "--cases", "5"], ["witness", path],
+                     ["intersect", path, str(paths[512])]):
+            assert main(argv) == code
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if code == 2:
+                assert "must be at most 262144, got 263169" in err
+
+
 def test_pair_from_stdin(tmp_path):
     """'-' reads the pair from standard input, with the same report as the
     file; malformed input on standard input exits 2."""

@@ -112,9 +112,11 @@ def table_named(name):
     return relabelled_s3() if name == "S3-relabelled" else builtin(name)
 
 
+# the cases above degree 2 extend a lead row by a coefficient more than once
 @pytest.mark.parametrize("name,d", [("Z2", 1), ("Z3", 1), ("S3", 1), ("Z4", 1),
                                     ("S3-relabelled", 1), ("S3", 2),
-                                    ("S3-relabelled", 2), ("Z6", 2)])
+                                    ("S3-relabelled", 2), ("Z6", 2),
+                                    ("Z3", 3), ("Z4", 3), ("Z2", 4)])
 def test_semigroup_family_matches_naive_enumeration(name, d):
     table = table_named(name)
     assert semigroup_family(table, d).masks == \
@@ -141,7 +143,9 @@ def naive_group_family(table, d):
 
 @pytest.mark.parametrize("name,d", [("Z3", 1), ("S3", 1), ("Z4", 2),
                                     ("S3-relabelled", 1), ("S3", 2),
-                                    ("S3-relabelled", 2), ("Z6", 2)])
+                                    ("S3-relabelled", 2), ("Z6", 2),
+                                    ("S3", 3), ("S3-relabelled", 3),
+                                    ("Z6", 3)])
 def test_group_family_matches_naive_enumeration(name, d):
     table = table_named(name)
     assert group_family(table, d).masks == naive_group_family(table, d).masks
@@ -168,21 +172,26 @@ def test_enumeration_guards(monkeypatch):
 
 
 def test_semigroup_family_s4_degree_two():
-    # the largest family inside the guards: 26 x 14,424 word pairs
+    # the largest family inside the guards: 26 x 14,976 word pairs
     assert len(semigroup_family(builtin("S4"), 2)) == 4411
     assert len(group_family(builtin("S4"), 2)) == 163
 
 
-@pytest.mark.parametrize("family,digest", [
-    (semigroup_family,
+@pytest.mark.parametrize("family,name,d,digest", [
+    (semigroup_family, "S4", 2,
      "3f6250238d07b1c3921dce2085dc683cb0f4024921fb28b62c53f7ffd66ee3f1"),
-    (group_family,
+    (group_family, "S4", 2,
      "8e13d513cdbb294b01c2bf47a5fbababb732a1d698426913146d7c482c6d3776"),
-], ids=["semigroup", "group"])
-def test_s4_degree_two_masks_pinned(family, digest):
-    # the naive enumerations are too slow on S4, so its degree-2 families
-    # are pinned as the enumeration over every leading-1 word built them
-    masks = sorted(family(builtin("S4"), 2).masks)
+    (semigroup_family, "S3", 4,
+     "56d2092af6d57876cd8f77ccbcf3f7b7433ef63b1eef01271d8b7590e291ea4f"),
+    (group_family, "S3", 4,
+     "56d2092af6d57876cd8f77ccbcf3f7b7433ef63b1eef01271d8b7590e291ea4f"),
+], ids=["semigroup", "group", "semigroup-S3-4", "group-S3-4"])
+def test_s4_degree_two_masks_pinned(family, name, d, digest):
+    # the naive enumerations are too slow on S4, and on S3 above degree 2,
+    # so these families are pinned as the enumeration over every leading-1
+    # word built them; degree 4 is the largest S3's guards admit
+    masks = sorted(family(builtin(name), d).masks)
     assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
 
 
