@@ -92,12 +92,12 @@ def _signature_monotone(start, steps) -> bool:
     never increase the signature; degree and row rewrites
     (cancel/delete/empty) must strictly decrease it."""
     prev = start
-    per_row_adjust = {}
+    adjusted = set()
     for step in steps:
         if step.kind in ("adjust_a", "adjust_b"):
-            per_row_adjust[step.row] = per_row_adjust.get(step.row, 0) + 1
-            if per_row_adjust[step.row] > 1 or step.signature != prev:
+            if step.row in adjusted or step.signature != prev:
                 return False
+            adjusted.add(step.row)
         elif step.signature >= prev:
             return False
         prev = step.signature

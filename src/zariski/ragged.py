@@ -131,14 +131,6 @@ class NormalForm:
     pair: MatrixPair | None = None
 
     @classmethod
-    def empty(cls) -> "NormalForm":
-        return cls("empty")
-
-    @classmethod
-    def full(cls) -> "NormalForm":
-        return cls("full")
-
-    @classmethod
     def proper(cls, pair: MatrixPair) -> "NormalForm":
         for i, (arow, brow) in enumerate(zip(pair.A.rows, pair.B.rows)):
             if len(arow) == 1 and len(brow) == 1:
@@ -162,12 +154,14 @@ class NormalForm:
 
 @dataclass(frozen=True)
 class NormStep:
-    """One rewriting event, with the signature of the surviving rows after it.
+    """One rewriting event on ``row`` (an index of the input), with the
+    signature of the rows still alive after it.
 
-    ``cancel``, ``delete`` and ``empty`` strictly decrease the signature
-    (the last two drop their row); ``adjust_a`` and ``adjust_b`` rewrite
-    entries only (the signature is unchanged) and fire at most once per
-    row.  ``empty`` aborts the whole rewriting.
+    A row takes zero or more ``cancel`` steps, then at most one of
+    ``delete``, ``empty``, ``adjust_a`` or ``adjust_b``.  ``cancel``,
+    ``delete`` and ``empty`` strictly decrease the signature (the last two
+    drop their row); the adjustments rewrite entries only, so the
+    signature is unchanged.  ``empty`` ends the whole rewriting.
     """
 
     kind: str  # "cancel" | "adjust_a" | "adjust_b" | "delete" | "empty"
@@ -175,66 +169,54 @@ class NormStep:
     signature: tuple
 
 
-def _live_signature(rows, alive) -> tuple:
-    live = [i for i, ok in enumerate(alive) if ok]
-    return (len(live),
-            *(len(rows[i][0]) - 1 for i in live),
-            *(len(rows[i][1]) - 1 for i in live))
-
-
 def normalize_steps(P: MatrixPair, G: Monoid, adjuster):
     """Normalize and return ``(NormalForm, steps)``.
 
-    The rewriting is applied row by row in ascending order:
+    Each row is rewritten once, in ascending order:
 
-    * equal leading entries and both degrees positive: left-cancel the
-      common coefficient together with one x (``cancel``);
-    * equal leading entries, one side constant: multiply that constant and
-      the other side's last entry by the adjuster on the right
-      (``adjust_a``/``adjust_b``); the leading entries now differ;
-    * both sides constant: equal constants make the whole set empty
-      (``empty``), distinct constants make the row vacuous (``delete``).
+    * while the leading entries agree and both degrees are positive,
+      left-cancel the common coefficient together with one x (``cancel``);
+    * then, if both sides are constant, equal constants make the whole set
+      empty (``empty``) and distinct ones make the row vacuous (``delete``);
+    * otherwise, if the leading entries still agree, one side is constant:
+      multiply that constant and the other side's last entry by the
+      adjuster on the right (``adjust_a``/``adjust_b``), after which the
+      leading entries differ.
 
     Membership in the denoted set is preserved at every step; that is
     exactly where cancellativity of G is used.
     """
     if adjuster == G.one():
         raise InvalidAdjuster("adjuster must differ from the identity")
-    k = P.num_rows
-    rows = [[list(a), list(b)] for a, b in zip(P.A.rows, P.B.rows)]
-    alive = [True] * k
+    live = {i: (list(a), list(b))
+            for i, (a, b) in enumerate(zip(P.A.rows, P.B.rows))}
     steps = []
-    for i in range(k):
-        while True:
-            a, b = rows[i]
-            if len(a) == 1 and len(b) == 1:
-                alive[i] = False
-                if a[0] == b[0]:
-                    steps.append(NormStep("empty", i, _live_signature(rows, alive)))
-                    return NormalForm.empty(), tuple(steps)
-                steps.append(NormStep("delete", i, _live_signature(rows, alive)))
-                break
-            if a[0] != b[0]:
-                break
-            if len(a) > 1 and len(b) > 1:
-                del a[0]
-                del b[0]
-                steps.append(NormStep("cancel", i, _live_signature(rows, alive)))
-                continue
+
+    def record(kind, i):
+        steps.append(NormStep(kind, i, (
+            len(live), *(len(a) - 1 for a, _ in live.values()),
+            *(len(b) - 1 for _, b in live.values()))))
+
+    for i, (a, b) in list(live.items()):
+        while a[0] == b[0] and len(a) > 1 and len(b) > 1:
+            del a[0], b[0]
+            record("cancel", i)
+        if len(a) == 1 and len(b) == 1:
+            del live[i]
+            if a[0] == b[0]:
+                record("empty", i)
+                return NormalForm("empty"), tuple(steps)
+            record("delete", i)
+        elif a[0] == b[0]:
             if len(a) == 1:
-                a[0] = G.mul(a[0], adjuster)
-                b[-1] = G.mul(b[-1], adjuster)
-                steps.append(NormStep("adjust_a", i, _live_signature(rows, alive)))
+                a[0], b[-1] = G.mul(a[0], adjuster), G.mul(b[-1], adjuster)
+                record("adjust_a", i)
             else:
-                b[0] = G.mul(b[0], adjuster)
-                a[-1] = G.mul(a[-1], adjuster)
-                steps.append(NormStep("adjust_b", i, _live_signature(rows, alive)))
-            break
-    if not any(alive):
-        return NormalForm.full(), tuple(steps)
-    pair = pair_of_rows((rows[i][0] for i in range(k) if alive[i]),
-                        (rows[i][1] for i in range(k) if alive[i]))
-    return NormalForm.proper(pair), tuple(steps)
+                b[0], a[-1] = G.mul(b[0], adjuster), G.mul(a[-1], adjuster)
+                record("adjust_b", i)
+    if not live:
+        return NormalForm("full"), tuple(steps)
+    return NormalForm.proper(pair_of_rows(*zip(*live.values()))), tuple(steps)
 
 
 def normalize(P: MatrixPair, G: Monoid, adjuster) -> NormalForm:

@@ -75,6 +75,26 @@ def test_normalize_empty_and_full(tmp_path):
     assert case["signature_monotone"]
 
 
+# row 0 cancels and is deleted; rows 1 and 2 keep one constant side
+# against the same leading entry, so each is adjusted once
+ADJUSTED = {"A": [[[[0, 1], [1, 0]], [[0, 1], [1, 0]]], [[[0, 1], [1, 0]]],
+                  [[[0, 1], [1, 0]], []]],
+            "B": [[[[0, 1], [1, 0]], [[1, 2], [2, 1]]],
+                  [[[0, 1], [1, 0]], []], [[[0, 1], [1, 0]]]]}
+
+
+def test_normalize_adjusts_rows(tmp_path):
+    path = tmp_path / "adjusted.json"
+    path.write_text(json.dumps(ADJUSTED))
+    code, report = run_json(tmp_path, ["normalize", str(path)])
+    assert code == 0
+    case = report["cases"][0]
+    assert [(s["kind"], s["row"]) for s in case["steps"]] == [
+        ("cancel", 0), ("delete", 0), ("adjust_a", 1), ("adjust_b", 2)]
+    assert case["form"] == "proper"
+    assert case["signature_monotone"] and case["membership_agreement"]
+
+
 @pytest.mark.parametrize("kind, sig", [
     ("cancel", (1, 1, 1)),  # a rewrite that leaves the signature equal
     ("adjust_a", (1, 0, 1)),  # an adjustment that lowers it

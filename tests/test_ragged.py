@@ -1,5 +1,6 @@
 """Ragged matrix pairs, basic-set membership, and normalization."""
 
+import hashlib
 import random
 
 import pytest
@@ -186,25 +187,59 @@ def test_normalize_membership_property(seed, rows, degree, support):
         assert membership(P, x, SYM) == normal_membership(form, x, SYM)
 
 
+def rand_nat_pair(rng):
+    k = rng.randint(1, 3)
+    return pair_of_rows(
+        ([rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+         for _ in range(k)),
+        ([rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+         for _ in range(k)))
+
+
 def test_normalize_step_signatures():
-    rng = random.Random(13)
-    for _ in range(200):
-        P = rand_pair(rng, 3, 4, 6)
-        form, steps = normalize_steps(P, SYM, DEFAULT_ADJUSTER)
-        prev = signature(P)
-        adjusted_rows = set()
-        for s in steps:
-            if s.kind in ("cancel", "delete", "empty"):
-                assert s.signature < prev
-            else:
-                assert s.signature == prev
-                assert s.row not in adjusted_rows
-                adjusted_rows.add(s.row)
-            prev = s.signature
-        if form.is_proper:
-            for arow, brow in zip(form.pair.A.rows, form.pair.B.rows):
-                assert len(arow) > 1 or len(brow) > 1
-                assert arow[0] != brow[0]
+    # on 6 points the rows' leading entries almost never agree, so only
+    # delete fires; on 2 points every rewrite does
+    kinds = set()
+    for support in (6, 2):
+        rng = random.Random(13)
+        for _ in range(200):
+            P = rand_pair(rng, 3, 4, support)
+            form, steps = normalize_steps(P, SYM, DEFAULT_ADJUSTER)
+            prev = signature(P)
+            adjusted_rows = set()
+            for s in steps:
+                kinds.add(s.kind)
+                if s.kind in ("cancel", "delete", "empty"):
+                    assert s.signature < prev
+                else:
+                    assert s.signature == prev
+                    assert s.row not in adjusted_rows
+                    adjusted_rows.add(s.row)
+                prev = s.signature
+            if form.is_proper:
+                for arow, brow in zip(form.pair.A.rows, form.pair.B.rows):
+                    assert len(arow) > 1 or len(brow) > 1
+                    assert arow[0] != brow[0]
+    assert kinds == {"cancel", "adjust_a", "adjust_b", "delete", "empty"}
+
+
+def test_normalize_steps_pinned():
+    # every form and step of a seeded corpus: Sym on 0-3 points, where
+    # leading entries often agree, and the additive naturals
+    rng = random.Random(23)
+    corpus = [(rand_pair(rng, 3, 4, support), SYM, DEFAULT_ADJUSTER,
+               pair_to_json)
+              for support in range(4) for _ in range(250)]
+    corpus += [(rand_nat_pair(rng), NAT_PLUS, 1,
+                lambda P: [P.A.rows, P.B.rows]) for _ in range(500)]
+    digest = hashlib.sha256()
+    for P, G, adjuster, encode in corpus:
+        form, steps = normalize_steps(P, G, adjuster)
+        digest.update(repr((
+            form.tag, encode(form.pair) if form.is_proper else None,
+            [(s.kind, s.row, s.signature) for s in steps])).encode())
+    assert digest.hexdigest() == (
+        "37c2d106b10c705c7be012880a339120d254724783199090648814b1382cee78")
 
 
 def test_normalize_on_additive_naturals():
@@ -221,12 +256,7 @@ def test_normalize_on_additive_naturals():
     assert form.pair.B.rows == ((3, 1),)
     rng = random.Random(17)
     for _ in range(200):
-        k = rng.randint(1, 3)
-        P = pair_of_rows(
-            ([rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
-             for _ in range(k)),
-            ([rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
-             for _ in range(k)))
+        P = rand_nat_pair(rng)
         form = normalize(P, NAT_PLUS, 1)
         for x in range(30):
             assert membership(P, x, NAT_PLUS) == \
