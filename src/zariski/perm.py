@@ -80,9 +80,6 @@ class FinPermutation:
     def inv(self) -> "FinPermutation":
         return FinPermutation._trusted(invert_map(self._map))
 
-    def support(self) -> frozenset:
-        return frozenset(self._map)
-
     def to_json(self) -> list:
         """Canonical encoding: [point, image] pairs sorted by point."""
         return [[x, y] for x, y in sorted(self._map.items())]

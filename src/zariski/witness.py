@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from zariski.errors import NotNormalized, OracleExhausted
-from zariski.perm import FinPermutation, extend, invert_map
+from zariski.perm import FinPermutation, extend
 from zariski.ragged import MatrixPair, NormalForm, stack
 
 
@@ -34,12 +34,11 @@ def pick_separators(P: MatrixPair) -> tuple:
     the A and B sides disagree."""
     seps = []
     for i, (arow, brow) in enumerate(zip(P.A.rows, P.B.rows)):
-        a0, b0 = arow[0], brow[0]
+        a0, b0 = arow[0]._map, brow[0]._map
         if a0 == b0:
             raise NotNormalized(f"row {i} has equal leading entries")
-        diff = [x for x in a0.support() | b0.support()
-                if a0.apply(x) != b0.apply(x)]
-        seps.append(min(diff))
+        seps.append(min(x for x in a0.keys() | b0.keys()
+                        if a0.get(x, x) != b0.get(x, x)))
     return tuple(seps)
 
 
@@ -100,11 +99,12 @@ def symw_oracle() -> SymOmegaOracle:
 
 
 def _advance(row, p, v, xmap):
-    """Push a row's evaluation state forward while it is defined.
+    """Push one row's evaluation state forward while it is defined.
 
-    The state (p, v) says that c0 x c1 ... x cp takes the separator to v;
-    the next coefficient applies once v lies in the domain of the partial
-    map x.  Returns the state where the row is finished or stuck.
+    The state is the row's entries of ``ps`` and ``vs`` in
+    ``construct_witness``: c0 x c1 ... x cp takes the separator to v.  The
+    next coefficient applies once v lies in the domain of the partial map
+    x.  Returns the new (p, v), where the row is finished or stuck.
     """
     while p + 1 < len(row) and v in xmap:
         p += 1
@@ -127,17 +127,31 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
     """
     NormalForm.proper(P)
     seps = pick_separators(P)
-    # the entry set C of A and B
-    cmaps = [e._map for e in {c for row in P.A.rows + P.B.rows for c in row}]
-    moves = cmaps + [invert_map(m) for m in cmaps]
+    sides = [(case, [[c._map for c in row] for row in R.rows])
+             for case, R in (("alpha", P.A), ("beta", P.B))]
     # Every part of the forbidden set fixes each point outside the support
     # S of the entries, and (t)(fg) = ((t)f)g, so the translates of a point
-    # are the points at most two steps from it under C u C^-1; a point
-    # outside S is its own only translate.  ``near`` holds the points at
-    # most one step from the working set and the forbidden set those one
-    # step from ``near``, so each point's neighbours are added only once.
-    one_step = {s: {s, *(m.get(s, s) for m in moves)}
-                for s in set().union(*cmaps)}
+    # are the points at most two steps from it under C u C^-1, C the
+    # entries; a point outside S is its own only translate.  ``one_step``
+    # maps each point s of S to s and its neighbours: each moved-point pair
+    # (s, t) of an entry makes t a neighbour of s under the entry and s one
+    # of t under its inverse, and a repeated entry adds nothing new.
+    # ``near`` holds the points at most one step from the working set and
+    # the forbidden set those one step from ``near``, so each point's
+    # neighbours are added only once.
+    one_step: dict = {}
+    for _, rows in sides:
+        for row in rows:
+            for m in row:
+                for s, t in m.items():
+                    if s in one_step:
+                        one_step[s].add(t)
+                    else:
+                        one_step[s] = {s, t}
+                    if t in one_step:
+                        one_step[t].add(s)
+                    else:
+                        one_step[t] = {t, s}
     near: set = set()
     forbidden: set = set()
 
@@ -149,18 +163,19 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
 
     for s in seps:
         avoid(s)
-    sides = [(case, [[c._map for c in row] for row in R.rows])
-             for case, R in (("alpha", P.A), ("beta", P.B))]
-    states = [[(0, row[0].get(m, m)) for row, m in zip(rows, seps)]
-              for _, rows in sides]
+    # two parallel lists per side: c0 x c1 ... x cp of row i, with p its
+    # prefix length ps[side][i], takes the row's separator to vs[side][i]
+    ps = [[0] * len(seps) for _ in sides]
+    vs = [[row[0].get(m, m) for row, m in zip(rows, seps)]
+          for _, rows in sides]
     budget = P.degree_sum()
     xmap: dict = {}
     steps = []
     while True:
-        stuck = next(((case, j, v)
-                      for (case, rows), state in zip(sides, states)
-                      for j, (row, (p, v)) in enumerate(zip(rows, state))
-                      if p + 1 < len(row)), None)
+        stuck = next(((case, j, side_vs[j])
+                      for (case, rows), side_ps, side_vs in zip(sides, ps, vs)
+                      for j, row in enumerate(rows)
+                      if side_ps[j] + 1 < len(row)), None)
         if stuck is None:
             break
         if len(steps) == budget:
@@ -173,12 +188,14 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
             raise OracleExhausted("oracle returned no admissible image")
         xmap[q] = q_img
         avoid(q_img)
-        for (_, rows), state in zip(sides, states):
-            for i, (row, (p, v)) in enumerate(zip(rows, state)):
-                if v == q:
-                    state[i] = _advance(row, p, v, xmap)
-        steps.append(WitnessStep(case, j, q, q_img, *(
-            tuple(p for p, _ in state) for state in states)))
+        # only the rows stuck at q move on
+        for (_, rows), side_ps, side_vs in zip(sides, ps, vs):
+            for i, row in enumerate(rows):
+                if side_vs[i] == q:
+                    side_ps[i], side_vs[i] = _advance(row, side_ps[i], q,
+                                                      xmap)
+        steps.append(WitnessStep(case, j, q, q_img,
+                                 tuple(ps[0]), tuple(ps[1])))
 
     g = oracle.complete(xmap)
     trace = WitnessTrace(

@@ -1,9 +1,12 @@
 """Finitely supported permutations: examples and algebraic laws."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from zariski.perm import FinPermutation, IDENTITY, extend, transposition
+from zariski.randgen import rand_perm
 
 
 def perm(mapping):
@@ -71,12 +74,6 @@ def test_extend_examples():
     assert extend({4: 4, 0: 1}) == perm({0: 1, 1: 0})  # fixed pairs allowed
 
 
-def test_support_examples():
-    assert IDENTITY.support() == frozenset()
-    assert perm({0: 1, 1: 0}).support() == {0, 1}
-    assert perm({4: 7, 7: 4}).support() == {4, 7}
-
-
 def test_fixed_points_pruned():
     assert perm({3: 3}) == IDENTITY
     assert perm({3: 3, 0: 1, 1: 0}) == transposition(0, 1)
@@ -101,6 +98,16 @@ def test_validation():
         extend({0: -1})
 
 
+def test_rand_perm_is_valid():
+    # rand_perm skips the constructor's validation; the constructor must
+    # accept its map unchanged
+    for support in range(13):
+        for seed in range(200):
+            p = rand_perm(random.Random(seed), support)
+            assert FinPermutation(p._map) == p
+            assert set(p._map) == set(p._map.values()) <= set(range(support))
+
+
 @given(perms, perms, perms)
 def test_associativity(p, q, r):
     assert (p * q) * r == p * (q * r)
@@ -113,7 +120,7 @@ def test_left_to_right_convention(p, q, x):
 
 @given(perms, perms)
 def test_support_of_product(p, q):
-    assert (p * q).support() <= p.support() | q.support()
+    assert (p * q)._map.keys() <= p._map.keys() | q._map.keys()
 
 
 @given(partial_bijections())

@@ -30,6 +30,11 @@ def test_pick_separators():
     a, b = FinPermutation({3: 4, 4: 3}), FinPermutation({3: 5, 5: 3})
     P = pair_of_rows([[a, IDENTITY]], [[b, IDENTITY]])
     assert pick_separators(P) == (3,)
+    # an identity leading entry, and a 3-cycle against its inverse
+    c = FinPermutation({5: 6, 6: 7, 7: 5})
+    P = pair_of_rows([[IDENTITY, T01], [c, IDENTITY]],
+                     [[transposition(4, 9), IDENTITY], [c.inv(), T01]])
+    assert pick_separators(P) == (4, 5)
     bad = pair_of_rows([[T01, IDENTITY]], [[T01, T12]])
     with pytest.raises(NotNormalized):
         pick_separators(bad)
@@ -71,6 +76,21 @@ def test_forbidden_set_examples():
     _, trace = construct_witness(P, symw_oracle())
     assert [(s.point, s.image) for s in trace.steps] == [(8, 0), (7, 1)]
     assert trace.forbidden_size == 8 == _recount_forbidden(P, trace)
+
+
+def test_forbidden_set_repeated_entries():
+    # one coefficient object in several rows and on both sides, and an
+    # equal but distinct copy of it: each adds the same neighbours.  The
+    # 6-cycle's inverse takes the separator 10 to 15, which no two forward
+    # steps under the entries reach
+    c = FinPermutation({10: 11, 11: 12, 12: 13, 13: 14, 14: 15, 15: 10})
+    copy = FinPermutation(dict(c._map))
+    d = transposition(12, 13)
+    P = pair_of_rows([[c, d, c], [d, copy], [IDENTITY, c]],
+                     [[d, c], [c, IDENTITY, copy], [copy, d]])
+    g, trace = construct_witness(P, symw_oracle())
+    assert membership(P, g, SYM)
+    assert trace.forbidden_size == 9 == _recount_forbidden(P, trace)
 
 
 @settings(max_examples=60, deadline=None)
