@@ -4,9 +4,9 @@ Composition is left to right throughout the package: ``(x)(p * q) = ((x)p)q``.
 Only moved points are stored, so two permutations are equal exactly when
 their stored maps are equal, and the identity is the empty map.  The
 moved-point dict is also the format that ``ragged.membership`` walks point
-by point, reading images with ``dict.get``; ``compose_maps`` and
-``invert_map`` are its arithmetic.  A finite injective partial map is a
-plain dict too, which ``extend`` completes to a permutation.
+by point, reading images with ``dict.get``; ``__mul__`` and ``inv`` are
+its arithmetic.  A finite injective partial map is a plain dict too, which
+``extend`` completes to a permutation.
 """
 
 from __future__ import annotations
@@ -19,24 +19,6 @@ def _json_list(item, what: str, length=None) -> list:
         shape = "a list" if length is None else f"a list of {length}"
         raise ValueError(f"{what} must be {shape}, got {reprlib.repr(item)}")
     return item
-
-
-def compose_maps(p: dict, q: dict) -> dict:
-    """Compose two moved-point dicts left to right, x -> q(p(x)), pruning
-    fixed points."""
-    r = {}
-    for x, y in p.items():
-        z = q.get(y, y)
-        if z != x:
-            r[x] = z
-    for x, y in q.items():
-        if x not in p:
-            r[x] = y
-    return r
-
-
-def invert_map(p: dict) -> dict:
-    return {y: x for x, y in p.items()}
 
 
 class FinPermutation:
@@ -73,12 +55,23 @@ class FinPermutation:
         return self._map.get(x, x)
 
     def __mul__(self, other: "FinPermutation") -> "FinPermutation":
+        """Left to right, x -> (x)self -> ((x)self)other, with the fixed
+        points pruned."""
         if not isinstance(other, FinPermutation):
             return NotImplemented
-        return FinPermutation._trusted(compose_maps(self._map, other._map))
+        p, q = self._map, other._map
+        r = {}
+        for x, y in p.items():
+            z = q.get(y, y)
+            if z != x:
+                r[x] = z
+        for x, y in q.items():
+            if x not in p:
+                r[x] = y
+        return FinPermutation._trusted(r)
 
     def inv(self) -> "FinPermutation":
-        return FinPermutation._trusted(invert_map(self._map))
+        return FinPermutation._trusted({y: x for x, y in self._map.items()})
 
     def to_json(self) -> list:
         """Canonical encoding: [point, image] pairs sorted by point."""

@@ -116,19 +116,20 @@ def _advance(row, p, v, xmap):
 def construct_witness(P: MatrixPair, oracle) -> tuple:
     """Build an element of N_{A,B} together with its construction trace.
 
-    ``P`` must be a proper normal form.  Each row keeps its evaluation
-    state at its separator from one step to the next.  Loop: take the
-    smallest row whose A-side evaluation is not yet defined (case alpha),
-    else the smallest with the B side undefined (case beta); the stuck
-    point q receives a fresh image q' outside the forbidden set, and only
-    the rows stuck at q move on.  Each step pushes at least the chosen
-    row strictly forward, so the loop ends after at most sum(d_A + d_B)
-    steps.
+    ``P`` must be a proper normal form.  Each of the 2k rows, the k A rows
+    (case alpha) and then the k B rows (case beta), keeps its evaluation
+    state at its separator from one step to the next.  The rows are
+    finished in that order: while the current row's evaluation is not yet
+    defined, its stuck point q receives a fresh image q' outside the
+    forbidden set, and only the rows stuck at q move on.  A finished row
+    stays finished, so the row each step works on is the first unfinished
+    one.  Each step pushes at least that row strictly forward, so the loop
+    ends after at most sum(d_A + d_B) steps.
     """
     NormalForm.proper(P)
     seps = pick_separators(P)
-    sides = [(case, [[c._map for c in row] for row in R.rows])
-             for case, R in (("alpha", P.A), ("beta", P.B))]
+    k = len(seps)
+    rows = [[c._map for c in row] for row in P.A.rows + P.B.rows]
     # Every part of the forbidden set fixes each point outside the support
     # S of the entries, and (t)(fg) = ((t)f)g, so the translates of a point
     # are the points at most two steps from it under C u C^-1, C the
@@ -140,18 +141,17 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
     # the forbidden set those one step from ``near``, so each point's
     # neighbours are added only once.
     one_step: dict = {}
-    for _, rows in sides:
-        for row in rows:
-            for m in row:
-                for s, t in m.items():
-                    if s in one_step:
-                        one_step[s].add(t)
-                    else:
-                        one_step[s] = {s, t}
-                    if t in one_step:
-                        one_step[t].add(s)
-                    else:
-                        one_step[t] = {t, s}
+    for row in rows:
+        for m in row:
+            for s, t in m.items():
+                if s in one_step:
+                    one_step[s].add(t)
+                else:
+                    one_step[s] = {s, t}
+                if t in one_step:
+                    one_step[t].add(s)
+                else:
+                    one_step[t] = {t, s}
     near: set = set()
     forbidden: set = set()
 
@@ -163,39 +163,32 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
 
     for s in seps:
         avoid(s)
-    # two parallel lists per side: c0 x c1 ... x cp of row i, with p its
-    # prefix length ps[side][i], takes the row's separator to vs[side][i]
-    ps = [[0] * len(seps) for _ in sides]
-    vs = [[row[0].get(m, m) for row, m in zip(rows, seps)]
-          for _, rows in sides]
+    # c0 x c1 ... x cp of row i, with p = ps[i], takes the row's separator
+    # seps[i % k] to vs[i]
+    ps = [0] * (2 * k)
+    vs = [row[0].get(m, m) for row, m in zip(rows, seps + seps)]
     budget = P.degree_sum()
     xmap: dict = {}
     steps = []
-    while True:
-        stuck = next(((case, j, side_vs[j])
-                      for (case, rows), side_ps, side_vs in zip(sides, ps, vs)
-                      for j, row in enumerate(rows)
-                      if side_ps[j] + 1 < len(row)), None)
-        if stuck is None:
-            break
-        if len(steps) == budget:
-            raise OracleExhausted(
-                f"{len(steps) + 1} steps exceed the step budget of {budget}")
-        case, j, q = stuck
-        avoid(q)
-        q_img = oracle.choose_image(xmap, q, forbidden)
-        if q_img is None or q_img in forbidden:
-            raise OracleExhausted("oracle returned no admissible image")
-        xmap[q] = q_img
-        avoid(q_img)
-        # only the rows stuck at q move on
-        for (_, rows), side_ps, side_vs in zip(sides, ps, vs):
-            for i, row in enumerate(rows):
-                if side_vs[i] == q:
-                    side_ps[i], side_vs[i] = _advance(row, side_ps[i], q,
-                                                      xmap)
-        steps.append(WitnessStep(case, j, q, q_img,
-                                 tuple(ps[0]), tuple(ps[1])))
+    for i, row in enumerate(rows):
+        while ps[i] + 1 < len(row):
+            if len(steps) == budget:
+                raise OracleExhausted(
+                    f"{len(steps) + 1} steps exceed the step budget of "
+                    f"{budget}")
+            q = vs[i]
+            avoid(q)
+            q_img = oracle.choose_image(xmap, q, forbidden)
+            if q_img is None or q_img in forbidden:
+                raise OracleExhausted("oracle returned no admissible image")
+            xmap[q] = q_img
+            avoid(q_img)
+            # only the rows stuck at q move on
+            for j, v in enumerate(vs):
+                if v == q:
+                    ps[j], vs[j] = _advance(rows[j], ps[j], q, xmap)
+            steps.append(WitnessStep("alpha" if i < k else "beta", i % k,
+                                     q, q_img, tuple(ps[:k]), tuple(ps[k:])))
 
     g = oracle.complete(xmap)
     trace = WitnessTrace(

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -165,14 +166,33 @@ def test_normalize_adjust_case():
     assert form.pair.B.rows == ((a * f,),)
 
 
-def test_normalize_preserves_membership():
-    rng = random.Random(11)
-    for _ in range(60):
-        P = rand_pair(rng, 3, 4, 8)
-        form = normalize(P, SYM, DEFAULT_ADJUSTER)
+def _membership_draw(seed, pairs, support):
+    """Check membership agreement on ``pairs`` random pairs with 100 points
+    each; return the counts of the answers and of the step kinds."""
+    rng = random.Random(seed)
+    answers, kinds = Counter(), Counter()
+    for _ in range(pairs):
+        P = rand_pair(rng, 3, 4, support)
+        form, steps = normalize_steps(P, SYM, DEFAULT_ADJUSTER)
+        kinds.update(s.kind for s in steps)
         for _ in range(100):
-            x = rand_perm(rng, 8)
-            assert membership(P, x, SYM) == normal_membership(form, x, SYM)
+            x = rand_perm(rng, support)
+            answer = membership(P, x, SYM)
+            assert answer == normal_membership(form, x, SYM), \
+                f"draw {seed}: the normal form changes membership at {x}"
+            answers[answer] += 1
+    return answers, kinds
+
+
+def test_normalize_preserves_membership():
+    _membership_draw(11, 60, 8)
+    # on 8 points every point is a member and only deletes occur; on 3
+    # points both answers and every step kind occur, so a rewrite that
+    # changes the denoted set disagrees somewhere
+    answers, kinds = _membership_draw(7_2024, 200, 3)
+    assert answers == {True: 14_228, False: 5_772}
+    assert kinds == {"cancel": 49, "delete": 14, "adjust_a": 13,
+                     "adjust_b": 13, "empty": 2}
 
 
 @settings(max_examples=40, deadline=None)

@@ -254,10 +254,18 @@ def test_random_witnesses_and_invariants():
         assert trace.to_json()["forbidden_size"] == \
             _recount_forbidden(P, trace)
         _replay_conditions(P, trace)
-        # counters never decrease; the handled row strictly increases
+        # counters never decrease; the handled row strictly increases and
+        # is the first unfinished one, A rows then B rows
         prev_a = [0] * P.num_rows
         prev_b = [0] * P.num_rows
-        for s in trace.steps:
+        for n, s in enumerate(trace.steps):
+            unfinished = [(case, i) for case, degs, prev in (
+                ("alpha", P.A.degrees(), prev_a),
+                ("beta", P.B.degrees(), prev_b))
+                for i, d in enumerate(degs) if prev[i] < d] + [None]
+            assert (s.case, s.row) == unfinished[0], \
+                f"step {n} works on {(s.case, s.row)}, but the first " \
+                f"unfinished row is {unfinished[0]}"
             assert all(x >= y for x, y in zip(s.counters_a, prev_a))
             assert all(x >= y for x, y in zip(s.counters_b, prev_b))
             if s.case == "alpha":
@@ -265,6 +273,8 @@ def test_random_witnesses_and_invariants():
             else:
                 assert s.counters_b[s.row] > prev_b[s.row]
             prev_a, prev_b = list(s.counters_a), list(s.counters_b)
+        assert (tuple(prev_a), tuple(prev_b)) == \
+            (P.A.degrees(), P.B.degrees()), "a row is left unfinished"
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,6 +308,20 @@ def test_large_degree_traces_pinned():
         digest.update(json.dumps(trace.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == \
         "77e2747d380ebae4cbfbee686a64cd0edb19e5660bcb123f2ae6b67c8242365c"
+
+
+def test_large_support_trace_pinned():
+    # 103 stacked rows on 2,048 points; every other test has at most 40
+    rng = random.Random(3)
+    P = stack(rand_proper_pair(rng, 256, 1, 2048),
+              rand_proper_pair(rng, 256, 1, 2048))
+    assert P.num_rows == 103
+    _, trace = construct_witness(P, symw_oracle())
+    assert len(trace.steps) == 133
+    assert trace.forbidden_size == 2181
+    data = json.dumps(trace.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == \
+        "39a2a5a59e5b5501c01a01abe3ba3022c1e03a7e201955d6e014edd3df4cff9e"
 
 
 def test_intersect_witness():
