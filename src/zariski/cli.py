@@ -17,6 +17,7 @@ a report that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -30,8 +31,8 @@ from zariski.perm import FinPermutation, IDENTITY
 from zariski.randgen import (DEFAULT_ADJUSTER, rand_gelement,
                              rand_moving_perm, rand_perm, rand_proper_pair)
 from zariski.ragged import (MatrixPair, membership, normal_membership,
-                            normalize_steps, pair_from_json, pair_to_json,
-                            signature, stack)
+                            normalize, normalize_steps, pair_from_json,
+                            pair_to_json, signature, stack)
 from zariski.sepgroup import (AllEven, brute_solve_on_Tm, finiteness_bound,
                               g_identity, g_to_json, solve_on_Tm)
 from zariski.symtop import (maximal_decompose, setwise_stabilizes,
@@ -131,7 +132,7 @@ def cmd_normalize(args) -> list:
 def _witness_case(pairs: list) -> dict:
     normals = []
     for p in pairs:
-        form, _ = normalize_steps(p, SYM, DEFAULT_ADJUSTER)
+        form = normalize(p, SYM, DEFAULT_ADJUSTER)
         if form.is_empty:
             raise EmptyInput("the basic set is empty; no witness exists")
         normals.append(form)
@@ -140,9 +141,7 @@ def _witness_case(pairs: list) -> dict:
         # every input denotes the whole group: the identity witnesses it
         return {"tag": "full", "witness": IDENTITY.to_json(),
                 "membership": True, "pass": True}
-    stacked = proper[0]
-    for q in proper[1:]:
-        stacked = stack(stacked, q)
+    stacked = functools.reduce(stack, proper)
     g, trace = construct_witness(stacked, symw_oracle())
     ok_members = all(membership(q, g, SYM) for q in proper)
     ok_original = all(membership(p, g, SYM) for p in pairs)

@@ -15,14 +15,16 @@ adds the translates of its stuck point before the image is chosen and
 those of the image after.  The trace reports the number of points in the
 set when the loop ends as ``forbidden_size``.
 
-The group enters only through a small oracle interface, so the loop
-itself is group-agnostic; the shipped oracle models the finitary symmetric
-group on N.
+Only the fresh images and the completion go through the oracle
+(``choose_image``, ``complete``); the shipped oracle models the finitary
+symmetric group on N.  Everything else reads each coefficient's
+moved-point dict ``_map``, and ``pick_separators`` and the translate
+table rely on that dict being finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from zariski.errors import NotNormalized, OracleExhausted
 from zariski.perm import FinPermutation, extend
@@ -43,31 +45,27 @@ def pick_separators(P: MatrixPair) -> tuple:
 
 
 @dataclass(frozen=True)
-class WitnessStep:
-    case: str  # "alpha" | "beta"
-    row: int
-    point: int  # q: where the stuck row evaluation stopped
-    image: int  # q': the freshly chosen image
-    counters_a: tuple  # per-row longest defined prefix, after the step
-    counters_b: tuple
-
-
-@dataclass(frozen=True)
 class WitnessTrace:
+    """One construction: separators, forbidden-set size, steps, witness.
+
+    Each step is its certificate entry: ``case`` ("alpha" | "beta"), ``row``,
+    the stuck ``point`` q, its fresh ``image`` q', and each row's longest
+    defined prefix after the step, ``counters_a`` and ``counters_b``.
+    ``to_json`` returns these entries themselves, not copies, so callers
+    must not mutate them.  ``steps`` holds dicts, so it is left out of the
+    hash; equality still compares it.
+    """
+
     separators: tuple
     forbidden_size: int  # points in the forbidden set when the loop ends
-    steps: tuple
+    steps: tuple = field(hash=False)
     final: FinPermutation
 
     def to_json(self) -> dict:
         return {
             "separators": list(self.separators),
             "forbidden_size": self.forbidden_size,
-            "steps": [{"case": s.case, "row": s.row,
-                       "point": s.point, "image": s.image,
-                       "counters_a": list(s.counters_a),
-                       "counters_b": list(s.counters_b)}
-                      for s in self.steps],
+            "steps": list(self.steps),
             "witness": self.final.to_json(),
         }
 
@@ -187,8 +185,9 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
             for j, v in enumerate(vs):
                 if v == q:
                     ps[j], vs[j] = _advance(rows[j], ps[j], q, xmap)
-            steps.append(WitnessStep("alpha" if i < k else "beta", i % k,
-                                     q, q_img, tuple(ps[:k]), tuple(ps[k:])))
+            steps.append({"case": "alpha" if i < k else "beta",
+                          "row": i % k, "point": q, "image": q_img,
+                          "counters_a": ps[:k], "counters_b": ps[k:]})
 
     g = oracle.complete(xmap)
     trace = WitnessTrace(

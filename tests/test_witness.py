@@ -1,6 +1,7 @@
 """Witness construction: spec'd traces, membership, loop bound, and the
 inductive invariants of the extension argument, replayed from traces."""
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -55,10 +56,12 @@ def _entries(P) -> set:
 
 def _recount_forbidden(P, trace) -> int:
     """The translates of the separators and of every step's point and
-    image under the seven-part product set of the entries."""
+    image under the seven-part product set of the entries, read from the
+    emitted certificate."""
+    cert = json.loads(json.dumps(trace.to_json()))
     forb = _brute_seven_parts(_entries(P))
-    points = set(trace.separators)
-    points.update(p for s in trace.steps for p in (s.point, s.image))
+    points = set(cert["separators"])
+    points.update(p for s in cert["steps"] for p in (s["point"], s["image"]))
     return len({f.apply(x) for x in points for f in forb})
 
 
@@ -67,14 +70,16 @@ def test_forbidden_set_examples():
     _, trace = construct_witness(P, symw_oracle())
     # separator 0, then 1 -> 3 and 0 -> 4; C = {1, (0 1), (1 2)} takes
     # 0 and 1 across {0, 1, 2} and fixes 3 and 4
-    assert [(s.point, s.image) for s in trace.steps] == [(1, 3), (0, 4)]
+    assert [(s["point"], s["image"]) for s in trace.steps] == \
+        [(1, 3), (0, 4)]
     assert trace.forbidden_size == 5 == _recount_forbidden(P, trace)
     # the cycle c = (7 8 ... 306): separator 7, then 8 -> 0 and 7 -> 1;
     # {1, c, c^-1, c^2, c^-2} take 7 and 8 to {305, 306, 7, 8, 9, 10}
     c = FinPermutation({x: x + 1 for x in range(7, 306)} | {306: 7})
     P = pair_of_rows([[c, IDENTITY]], [[IDENTITY, c]])
     _, trace = construct_witness(P, symw_oracle())
-    assert [(s.point, s.image) for s in trace.steps] == [(8, 0), (7, 1)]
+    assert [(s["point"], s["image"]) for s in trace.steps] == \
+        [(8, 0), (7, 1)]
     assert trace.forbidden_size == 8 == _recount_forbidden(P, trace)
 
 
@@ -130,7 +135,7 @@ def test_forbidden_set_word_boundaries(n):
 def test_witness_trace_matches_hand_run():
     g, trace = construct_witness(COMMUTE_T01, symw_oracle())
     assert trace.separators == (0,)
-    assert [(s.case, s.point, s.image) for s in trace.steps] == \
+    assert [(s["case"], s["point"], s["image"]) for s in trace.steps] == \
         [("alpha", 1, 2), ("beta", 0, 3)]
     assert g == FinPermutation({0: 3, 3: 0, 1: 2, 2: 1})
     assert (T01 * g).apply(0) == 2
@@ -222,15 +227,17 @@ def _replay_conditions(P, trace):
     partial A- and B-values never collide (3), and no forbidden translate
     of the working image hits a separator (4).  Each step's image also
     avoids every forbidden translate of the working set before the step:
-    the points of the map, the stuck point q and the separators."""
-    seps = trace.separators
+    the points of the map, the stuck point q and the separators.  The
+    steps are read from the emitted certificate."""
+    cert = json.loads(json.dumps(trace.to_json()))
+    seps = cert["separators"]
     forb = _brute_seven_parts(_entries(P))
     xmap = {}
     states = [dict(xmap)]
-    for s in trace.steps:
-        working = set(xmap) | set(xmap.values()) | {s.point} | set(seps)
-        assert s.image not in {f.apply(w) for w in working for f in forb}
-        xmap[s.point] = s.image
+    for s in cert["steps"]:
+        working = set(xmap) | set(xmap.values()) | {s["point"]} | set(seps)
+        assert s["image"] not in {f.apply(w) for w in working for f in forb}
+        xmap[s["point"]] = s["image"]
         states.append(dict(xmap))
     for state in states:
         for i, (arow, brow) in enumerate(zip(P.A.rows, P.B.rows)):
@@ -251,28 +258,33 @@ def test_random_witnesses_and_invariants():
         g, trace = construct_witness(P, oracle)
         assert membership(P, g, SYM)
         assert len(trace.steps) <= P.degree_sum()
-        assert trace.to_json()["forbidden_size"] == \
-            _recount_forbidden(P, trace)
+        # the certificate survives a JSON round trip unchanged: no tuple
+        # anywhere in it, which no digest of the JSON text can see
+        cert = json.loads(json.dumps(trace.to_json()))
+        assert cert == trace.to_json()
+        assert cert["forbidden_size"] == _recount_forbidden(P, trace)
         _replay_conditions(P, trace)
         # counters never decrease; the handled row strictly increases and
         # is the first unfinished one, A rows then B rows
         prev_a = [0] * P.num_rows
         prev_b = [0] * P.num_rows
-        for n, s in enumerate(trace.steps):
+        for n, s in enumerate(cert["steps"]):
             unfinished = [(case, i) for case, degs, prev in (
                 ("alpha", P.A.degrees(), prev_a),
                 ("beta", P.B.degrees(), prev_b))
                 for i, d in enumerate(degs) if prev[i] < d] + [None]
-            assert (s.case, s.row) == unfinished[0], \
-                f"step {n} works on {(s.case, s.row)}, but the first " \
+            case, row = s["case"], s["row"]
+            assert (case, row) == unfinished[0], \
+                f"step {n} works on {(case, row)}, but the first " \
                 f"unfinished row is {unfinished[0]}"
-            assert all(x >= y for x, y in zip(s.counters_a, prev_a))
-            assert all(x >= y for x, y in zip(s.counters_b, prev_b))
-            if s.case == "alpha":
-                assert s.counters_a[s.row] > prev_a[s.row]
+            counters_a, counters_b = s["counters_a"], s["counters_b"]
+            assert all(x >= y for x, y in zip(counters_a, prev_a))
+            assert all(x >= y for x, y in zip(counters_b, prev_b))
+            if case == "alpha":
+                assert counters_a[row] > prev_a[row]
             else:
-                assert s.counters_b[s.row] > prev_b[s.row]
-            prev_a, prev_b = list(s.counters_a), list(s.counters_b)
+                assert counters_b[row] > prev_b[row]
+            prev_a, prev_b = counters_a, counters_b
         assert (tuple(prev_a), tuple(prev_b)) == \
             (P.A.degrees(), P.B.degrees()), "a row is left unfinished"
 
@@ -297,6 +309,16 @@ def test_determinism():
         g2, t2 = construct_witness(P2, symw_oracle())
         assert g1 == g2 and t1 == t2
         assert hash(t1) == hash(t2)
+
+
+def test_traces_differing_in_one_step():
+    # steps are left out of the hash, so both traces hash, yet equality
+    # still compares the step entries
+    _, trace = construct_witness(COMMUTE_T01, symw_oracle())
+    other = dataclasses.replace(
+        trace, steps=(trace.steps[0], {**trace.steps[1], "image": 4}))
+    assert trace != other
+    assert hash(trace) == hash(other)
 
 
 def test_large_degree_traces_pinned():
@@ -329,10 +351,10 @@ def test_intersect_witness():
     assert membership(COMMUTE_T01, g, SYM)
     # both copies of each row are stuck at the same point, so each step
     # moves two rows
-    assert [(s.case, s.row, s.point, s.image) for s in trace.steps] == \
-        [("alpha", 0, 1, 2), ("beta", 0, 0, 3)]
-    assert trace.steps[0].counters_a == (1, 1)
-    assert trace.steps[1].counters_b == (1, 1)
+    assert [(s["case"], s["row"], s["point"], s["image"])
+            for s in trace.steps] == [("alpha", 0, 1, 2), ("beta", 0, 0, 3)]
+    assert trace.steps[0]["counters_a"] == [1, 1]
+    assert trace.steps[1]["counters_b"] == [1, 1]
     P2 = pair_of_rows([[C3, IDENTITY]], [[IDENTITY, C3]])
     g, trace = intersect_witness(COMMUTE_T01, P2, symw_oracle())
     assert membership(COMMUTE_T01, g, SYM)
