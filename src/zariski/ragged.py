@@ -71,9 +71,10 @@ class MatrixPair:
 
 
 def pair_of_rows(a_rows, b_rows) -> MatrixPair:
-    """Convenience constructor from row iterables."""
-    return MatrixPair(RaggedMatrix(tuple(tuple(r) for r in a_rows)),
-                      RaggedMatrix(tuple(tuple(r) for r in b_rows)))
+    """The pair with these rows of coefficients on the A and B sides; any
+    iterables will do, and a row that is already a tuple is not copied."""
+    return MatrixPair(RaggedMatrix(tuple(map(tuple, a_rows))),
+                      RaggedMatrix(tuple(map(tuple, b_rows))))
 
 
 def row_eval(row: tuple, x, G: Monoid):
@@ -115,8 +116,7 @@ def membership(P: MatrixPair, x, G: Monoid) -> bool:
 
 def stack(P1: MatrixPair, P2: MatrixPair) -> MatrixPair:
     """Row concatenation; the denoted set is the intersection."""
-    return MatrixPair(RaggedMatrix(P1.A.rows + P2.A.rows),
-                      RaggedMatrix(P1.B.rows + P2.B.rows))
+    return pair_of_rows(P1.A.rows + P2.A.rows, P1.B.rows + P2.B.rows)
 
 
 def signature(P: MatrixPair) -> tuple:
@@ -248,8 +248,7 @@ def pair_from_json(data) -> MatrixPair:
     missing = " or ".join(f'"{k}"' for k in ("A", "B") if k not in data)
     if missing:
         raise ValueError(f"the matrix pair has no key {missing}")
-    A, B = (RaggedMatrix(tuple(
-        tuple(FinPermutation.from_json(c)
-              for c in _json_list(row, f'a row of "{k}"'))
-        for row in _json_list(data[k], f'"{k}"'))) for k in ("A", "B"))
-    return MatrixPair(A, B)
+    A, B = ([[FinPermutation.from_json(c)
+              for c in _json_list(row, f'a row of "{k}"')]
+             for row in _json_list(data[k], f'"{k}"')] for k in ("A", "B"))
+    return pair_of_rows(A, B)

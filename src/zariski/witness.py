@@ -80,10 +80,15 @@ class SymOmegaOracle:
     oracle must not change either of them or keep a reference to it.
     Every finite injective partial map extends, and a fresh image for q is
     simply the smallest natural outside ``forbidden``.
+
+    The scan for it starts just above the last image of ``b``: the
+    construction chose that image the same way, as the smallest natural
+    outside the forbidden set of its step, and the set only grows, so every
+    natural up to it is still forbidden.
     """
 
     def choose_image(self, b: dict, q: int, forbidden) -> int:
-        a = 0
+        a = next(reversed(b.values())) + 1 if b else 0
         while a in forbidden:
             a += 1
         return a

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from zariski.errors import IrreducibleSignature
 from zariski.groups import Group, Monoid
-from zariski.ragged import MatrixPair, RaggedMatrix, row_eval
+from zariski.ragged import MatrixPair, pair_of_rows, row_eval
 
 
 @dataclass(frozen=True)
@@ -58,27 +58,6 @@ def holds_ineq(pair: MatrixPair, x, G: Monoid) -> bool:
     return row_eval(u, x, G) != row_eval(v, x, G)
 
 
-def formal_inverse(w: GroupWord, G: Group) -> GroupWord:
-    """The word computing x -> w(x)^{-1}: coefficients reversed and
-    inverted, signs reversed and flipped."""
-    coeffs = tuple(G.inv(c) for c in reversed(w.coefficients))
-    signs = tuple(-s for s in reversed(w.signs))
-    return GroupWord(coeffs, signs)
-
-
-def _one_row(u: tuple, v: tuple) -> MatrixPair:
-    return MatrixPair(RaggedMatrix((u,)), RaggedMatrix((v,)))
-
-
-def _rotate_unique_negative(w: GroupWord, G: Group) -> MatrixPair:
-    # w = p x^{ -1} q with p, q positive; w(x) = 1 iff q(x)p(x) = x.
-    i = w.signs.index(-1) + 1  # coefficient index right of the negative x
-    p = w.coefficients[:i]
-    q = w.coefficients[i:]
-    fused = q[:-1] + (G.mul(q[-1], p[0]),) + p[1:]
-    return _one_row(fused, (G.one(), G.one()))  # the word x on the right
-
-
 def group_ineq_to_semigroup_pair(w: GroupWord, G: Group) -> MatrixPair:
     """The one-row pair ((u), (v)) of positive words with w(x) = 1 iff
     u(x) = v(x), for every x.
@@ -96,8 +75,16 @@ def group_ineq_to_semigroup_pair(w: GroupWord, G: Group) -> MatrixPair:
     if w.degree >= 4 and 0 < negs < w.degree:
         raise IrreducibleSignature(
             f"degree {w.degree} with {negs} negative signs")
+    coeffs, signs = w.coefficients, w.signs
     if negs > 1:
-        w = formal_inverse(w, G)
-    if -1 not in w.signs:
-        return _one_row(w.coefficients, (G.one(),))
-    return _rotate_unique_negative(w, G)
+        # the formal inverse: coefficients reversed and inverted, signs
+        # reversed and flipped
+        coeffs = tuple(map(G.inv, reversed(coeffs)))
+        signs = tuple(-s for s in reversed(signs))
+    if -1 not in signs:
+        return pair_of_rows((coeffs,), ((G.one(),),))
+    # w = p x^-1 q with p, q positive; w(x) = 1 iff q(x)p(x) = x
+    i = signs.index(-1) + 1  # coefficient index right of the negative x
+    p, q = coeffs[:i], coeffs[i:]
+    fused = q[:-1] + (G.mul(q[-1], p[0]),) + p[1:]
+    return pair_of_rows((fused,), ((G.one(), G.one()),))  # x on the right

@@ -210,6 +210,40 @@ def test_oracle_exhausted(monkeypatch):
         construct_witness(COMMUTE_T01, _BoundedOracle())
 
 
+class _CountingView:
+    """The forbidden set, counting the membership tests made on it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.probes = 0
+
+    def __contains__(self, a):
+        self.probes += 1
+        return a in self.inner
+
+
+class _ProbeCountingOracle(SymOmegaOracle):
+    probes = 0
+
+    def choose_image(self, b, q, forbidden):
+        view = _CountingView(forbidden)
+        image = super().choose_image(b, q, view)
+        self.probes += view.probes
+        return image
+
+
+def test_choose_image_scans_each_natural_once():
+    # each scan resumes above the last image, so a test that hits lands on
+    # a point of the final forbidden set that no other scan tests, and each
+    # step adds the one miss it ends on
+    oracle = _ProbeCountingOracle()
+    P = rand_proper_pair(random.Random(0), 40, 150, 10)
+    _, trace = construct_witness(P, oracle)
+    bound = trace.forbidden_size + len(trace.steps)
+    assert bound == 2426
+    assert oracle.probes <= bound
+
+
 def _alpha_chain(row, m, xmap):
     """All partial evaluation values (m)c0 x ... x c_p for defined prefixes."""
     vals = [row[0].apply(m)]

@@ -1,7 +1,9 @@
 """Word evaluation and the degree-3 reduction of group inequations to
 one-row matrix pairs."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from zariski.perm import FinPermutation, IDENTITY, transposition
 from zariski.ragged import normalize, pair_of_rows, row_eval
 from zariski.randgen import DEFAULT_ADJUSTER, rand_perm
 from zariski.witness import construct_witness, symw_oracle
-from zariski.words import (GroupWord, eval_group, formal_inverse,
+from zariski.words import (GroupWord, eval_group,
                            group_ineq_to_semigroup_pair, holds_ineq)
 
 T01 = transposition(0, 1)
@@ -93,15 +95,34 @@ def test_reduction_mixed_degree_two():
 
 def test_reduction_majority_negative():
     G, elems = s3_elements()
-    # two negatives out of three: pass to the formal inverse first
+    one, inv = G.one(), G.inv
+    # two negatives out of three: pass to the formal inverse
+    # 1 x 1 x^-1 b^-1 x a^-1, then rotate its lone x^-1 to the front
     for a, b in itertools.product(elems, repeat=2):
-        w = GroupWord((a, b, G.one(), G.one()), (-1, 1, -1))
+        w = GroupWord((a, b, one, one), (-1, 1, -1))
         pair = group_ineq_to_semigroup_pair(w, G)
+        assert pair == pair_of_rows([[inv(b), inv(a), one]], [[one, one]])
         assert equivalent_on(G, elems, w, pair)
-    # all negative, any degree
+    # all negative, any degree: the formal inverse is a positive word
     w = GroupWord(tuple(range(4)) + (0,), (-1, -1, -1, -1))
     pair = group_ineq_to_semigroup_pair(w, G)
+    assert pair == pair_of_rows([[inv(c) for c in (0, 3, 2, 1, 0)]], [[one]])
     assert equivalent_on(G, elems, w, pair)
+
+
+def test_reduction_s3_digest():
+    # the reduced rows of every S3 word of degree <= 3, pinned against a
+    # change in any branch of the reduction
+    G, elems = s3_elements()
+    rows = []
+    for degree in range(4):
+        for signs in itertools.product((1, -1), repeat=degree):
+            for coeffs in itertools.product(elems, repeat=degree + 1):
+                pair = group_ineq_to_semigroup_pair(GroupWord(coeffs, signs), G)
+                rows.append([pair.A.rows, pair.B.rows])
+    assert len(rows) == 11310
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "0e3ac20c1d993e0767567e4c70d54ca9e085528dbb65ec9e8757bb84de742286")
 
 
 def _rand_group_word(rng, support):
@@ -164,15 +185,6 @@ def test_degree_bookkeeping(seed):
     pair = group_ineq_to_semigroup_pair(w, SYM)
     assert pair.num_rows == 1
     assert pair.degree_sum() == w.degree
-
-
-@given(st.permutations(list(range(6))), st.permutations(list(range(6))))
-def test_formal_inverse_property(img_a, img_x):
-    a = FinPermutation({i: y for i, y in enumerate(img_a) if i != y})
-    x = FinPermutation({i: y for i, y in enumerate(img_x) if i != y})
-    w = GroupWord((a, IDENTITY, a.inv()), (1, -1))
-    winv = formal_inverse(w, SYM)
-    assert eval_group(winv, x, SYM) == eval_group(w, x, SYM).inv()
 
 
 def test_word_validation():
