@@ -52,9 +52,9 @@ MAX_BOUND_N = 65536
 # a random pair's entries move at most 2 x this many points in all
 MAX_SAMPLED = 2 ** 20
 # largest rows x (rows + degree sum) of a pair read from a file: each
-# normalize step records the whole signature and each witness step 2 x rows
-# counters, so memory grows as rows^2 x degree; two stacked intersect
-# inputs stay within 2^20
+# normalize step records the whole signature, so memory grows as rows^2 x
+# degree (a witness step records four numbers, however many the rows); two
+# stacked intersect inputs stay within 2^20
 MAX_PAIR_SIZE = 2 ** 18
 
 
@@ -147,9 +147,10 @@ def _witness_case(pairs: list) -> dict:
     ok_original = all(membership(p, g, SYM) for p in pairs)
     bound = stacked.degree_sum()
     ok_bound = len(trace.steps) <= bound
+    cert = trace.to_json()
     return {
-        "witness": g.to_json(),
-        "trace": trace.to_json(),
+        "witness": cert.pop("witness"),  # once, not again in the trace
+        "trace": cert,
         "step_bound": bound,
         "steps_used": len(trace.steps),
         "membership": ok_members and ok_original,

@@ -49,11 +49,11 @@ class WitnessTrace:
     """One construction: separators, forbidden-set size, steps, witness.
 
     Each step is its certificate entry: ``case`` ("alpha" | "beta"), ``row``,
-    the stuck ``point`` q, its fresh ``image`` q', and each row's longest
-    defined prefix after the step, ``counters_a`` and ``counters_b``.
-    ``to_json`` returns these entries themselves, not copies, so callers
-    must not mutate them.  ``steps`` holds dicts, so it is left out of the
-    hash; equality still compares it.
+    the stuck ``point`` q and its fresh ``image`` q'.  Each row's longest
+    defined prefix after a step is not recorded: replaying the steps over
+    the stacked pair derives it.  ``to_json`` returns these entries
+    themselves, not copies, so callers must not mutate them.  ``steps``
+    holds dicts, so it is left out of the hash; equality still compares it.
     """
 
     separators: tuple
@@ -191,8 +191,7 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
                 if v == q:
                     ps[j], vs[j] = _advance(rows[j], ps[j], q, xmap)
             steps.append({"case": "alpha" if i < k else "beta",
-                          "row": i % k, "point": q, "image": q_img,
-                          "counters_a": ps[:k], "counters_b": ps[k:]})
+                          "row": i % k, "point": q, "image": q_img})
 
     g = oracle.complete(xmap)
     trace = WitnessTrace(

@@ -45,7 +45,7 @@ def test_intersect_certificates_pinned(bench):
     for fn, args in workloads.SETUPS["intersect"](0):
         digest.update(fn(tracing.NULL, *args))
     assert digest.hexdigest() == \
-        "eadef1b4aec949a245969ee45e8755a9ede76a99a18900c0ca158cec30ddeb34"
+        "51c1c38cd82de586c8f7645aab312fe8be2ca70f2e0b1ef0c8827616a813b091"
 
 
 def test_checks_certificates_pinned(bench):

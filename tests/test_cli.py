@@ -123,6 +123,8 @@ def test_witness_file_input(tmp_path):
     assert case["membership"] and case["pass"]
     assert case["witness"] == [[0, 3], [1, 2], [2, 1], [3, 0]]
     assert [s["case"] for s in case["trace"]["steps"]] == ["alpha", "beta"]
+    # the record holds the witness once, not again inside its trace
+    assert sorted(case["trace"]) == ["forbidden_size", "separators", "steps"]
 
 
 def test_witness_empty_input_exits_1(tmp_path, capsys):

@@ -256,6 +256,20 @@ def _alpha_chain(row, m, xmap):
     return vals
 
 
+def _prefixes(P, cert) -> list:
+    """Each row's longest defined prefix on the A and on the B side after
+    each step, derived by replaying the certificate's steps over P."""
+    seps = cert["separators"]
+    xmap = {}
+    out = []
+    for s in cert["steps"]:
+        xmap[s["point"]] = s["image"]
+        out.append(tuple([len(_alpha_chain(row, seps[i], xmap)) - 1
+                          for i, row in enumerate(rows)]
+                         for rows in (P.A.rows, P.B.rows)))
+    return out
+
+
 def _replay_conditions(P, trace):
     """Conditions of the inductive construction, checked on every prefix:
     partial A- and B-values never collide (3), and no forbidden translate
@@ -298,11 +312,15 @@ def test_random_witnesses_and_invariants():
         assert cert == trace.to_json()
         assert cert["forbidden_size"] == _recount_forbidden(P, trace)
         _replay_conditions(P, trace)
-        # counters never decrease; the handled row strictly increases and
-        # is the first unfinished one, A rows then B rows
+        # the defined prefixes, derived by replay, never decrease; the
+        # handled row strictly advances and is the first unfinished one, A
+        # rows then B rows
+        assert all(sorted(s) == ["case", "image", "point", "row"]
+                   for s in cert["steps"])
         prev_a = [0] * P.num_rows
         prev_b = [0] * P.num_rows
-        for n, s in enumerate(cert["steps"]):
+        for n, (s, (pre_a, pre_b)) in enumerate(
+                zip(cert["steps"], _prefixes(P, cert))):
             unfinished = [(case, i) for case, degs, prev in (
                 ("alpha", P.A.degrees(), prev_a),
                 ("beta", P.B.degrees(), prev_b))
@@ -311,14 +329,13 @@ def test_random_witnesses_and_invariants():
             assert (case, row) == unfinished[0], \
                 f"step {n} works on {(case, row)}, but the first " \
                 f"unfinished row is {unfinished[0]}"
-            counters_a, counters_b = s["counters_a"], s["counters_b"]
-            assert all(x >= y for x, y in zip(counters_a, prev_a))
-            assert all(x >= y for x, y in zip(counters_b, prev_b))
+            assert all(x >= y for x, y in zip(pre_a, prev_a))
+            assert all(x >= y for x, y in zip(pre_b, prev_b))
             if case == "alpha":
-                assert counters_a[row] > prev_a[row]
+                assert pre_a[row] > prev_a[row]
             else:
-                assert counters_b[row] > prev_b[row]
-            prev_a, prev_b = counters_a, counters_b
+                assert pre_b[row] > prev_b[row]
+            prev_a, prev_b = pre_a, pre_b
         assert (tuple(prev_a), tuple(prev_b)) == \
             (P.A.degrees(), P.B.degrees()), "a row is left unfinished"
 
@@ -363,7 +380,7 @@ def test_large_degree_traces_pinned():
         _, trace = construct_witness(P, symw_oracle())
         digest.update(json.dumps(trace.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == \
-        "77e2747d380ebae4cbfbee686a64cd0edb19e5660bcb123f2ae6b67c8242365c"
+        "016237318d674e96f0753e7bd5e473c796454f186051b213b9642d40b7c39636"
 
 
 def test_large_support_trace_pinned():
@@ -377,7 +394,7 @@ def test_large_support_trace_pinned():
     assert trace.forbidden_size == 2181
     data = json.dumps(trace.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(data).hexdigest() == \
-        "39a2a5a59e5b5501c01a01abe3ba3022c1e03a7e201955d6e014edd3df4cff9e"
+        "b2a5b578f08ad84a3233f7a31347c0b7e1fc2a81c7c6862c4748dbad0a069731"
 
 
 def test_intersect_witness():
@@ -387,8 +404,9 @@ def test_intersect_witness():
     # moves two rows
     assert [(s["case"], s["row"], s["point"], s["image"])
             for s in trace.steps] == [("alpha", 0, 1, 2), ("beta", 0, 0, 3)]
-    assert trace.steps[0]["counters_a"] == [1, 1]
-    assert trace.steps[1]["counters_b"] == [1, 1]
+    prefixes = _prefixes(stack(COMMUTE_T01, COMMUTE_T01), trace.to_json())
+    assert prefixes[0][0] == [1, 1]
+    assert prefixes[1][1] == [1, 1]
     P2 = pair_of_rows([[C3, IDENTITY]], [[IDENTITY, C3]])
     g, trace = intersect_witness(COMMUTE_T01, P2, symw_oracle())
     assert membership(COMMUTE_T01, g, SYM)
@@ -409,8 +427,8 @@ def test_trace_json():
     # the translates of 0, 1, 2 and 3 under {1, (0 1)}
     assert data["forbidden_size"] == 4
     assert data["steps"][0] == {"case": "alpha", "row": 0, "point": 1,
-                                "image": 2, "counters_a": [1],
-                                "counters_b": [0]}
+                                "image": 2}
+    assert _prefixes(COMMUTE_T01, data)[0] == ([1], [0])
     assert data["witness"] == [[0, 3], [1, 2], [2, 1], [3, 0]]
 
 
