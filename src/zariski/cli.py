@@ -36,10 +36,9 @@ from zariski.ragged import (MatrixPair, membership, normal_membership,
 from zariski.sepgroup import (AllEven, brute_solve_on_Tm, finiteness_bound,
                               g_identity, g_to_json, solve_on_Tm)
 from zariski.symtop import (maximal_decompose, setwise_stabilizes,
-                            stab_by_commutation, in_U, SubbasicSet)
+                            stab_by_commutation)
 from zariski.witness import construct_witness, symw_oracle
 from zariski import finite
-from zariski import words as words_mod
 
 
 # Largest accepted sampling sizes.  Time and memory grow with each, and a
@@ -249,8 +248,7 @@ def cmd_symcheck(args) -> list:
         g = rand_moving_perm(rng, args.support, x)
         phi, h = maximal_decompose(f, g, x)
         total_d += 1
-        if (in_U(SubbasicSet(x, x), phi) and in_U(SubbasicSet(x, x), h)
-                and phi * f * h.inv() == g):
+        if phi.apply(x) == x == h.apply(x) and phi * f * h.inv() == g:
             ok_d += 1
     decomp = {"check": "maximal_decomposition", "total": total_d,
               "passed": ok_d, "pass": ok_d == total_d}
@@ -258,27 +256,6 @@ def cmd_symcheck(args) -> list:
 
 
 # --- finite-check ------------------------------------------------------------
-
-def _reduction_mismatches(table, d: int) -> list:
-    """Exhaustively compare each group inequation of degree <= d with its
-    positive-word reduction; returns the mismatching words."""
-    G = finite.TableGroup(table)
-    elems = range(table.order)
-    mismatches = []
-    for degree in range(d + 1):
-        for coeffs in itertools.product(elems, repeat=degree + 1):
-            for signs in itertools.product((1, -1), repeat=degree):
-                w = words_mod.GroupWord(coeffs, signs)
-                direct = {x for x in elems
-                          if words_mod.eval_group(w, x, G) != table.id}
-                pair = words_mod.group_ineq_to_semigroup_pair(w, G)
-                reduced = {x for x in elems
-                           if words_mod.holds_ineq(pair, x, G)}
-                if direct != reduced:
-                    mismatches.append({"coeffs": list(coeffs),
-                                       "signs": list(signs)})
-    return mismatches
-
 
 def cmd_finite_check(args) -> list:
     table = finite.builtin(args.group)
@@ -307,7 +284,8 @@ def cmd_finite_check(args) -> list:
             for e in range(d // 2 + 1)),
     }
     # group_family(table, d) has passed the same guard at degree >= this
-    record["reduction_mismatches"] = _reduction_mismatches(table, min(d, 3))
+    record["reduction_mismatches"] = finite.reduction_mismatches(
+        table, min(d, 3))
     record["pass"] = (record["monotone_semigroup"]
                       and record["monotone_group"]
                       and not record["reduction_mismatches"]

@@ -16,8 +16,8 @@ a*t'*b; and a*t*b(x) != 1 exactly when t(x) != a^-1*b^-1, so the group
 family compares each t with every constant.  The tests check both against
 the fully naive enumeration.
 
-The functions that build the families import numpy on their first call,
-so importing this module (and ``zariski.cli``) does not load it: numpy is
+The families and the reduction sweep import numpy on their first call, so
+importing this module (and ``zariski.cli``) does not load it: numpy is
 most of the package's import time and about 13 MB of resident memory, and
 only ``finite-check`` needs it.
 
@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
+from zariski import words
 from zariski.errors import CarrierMismatch, TooLarge, UnknownGroup
 from zariski.groups import Group
 
@@ -216,6 +218,31 @@ def group_family(table: FiniteGroupTable, d: int) -> SetFamily:
     masks = np.unique((T[:, None, :] != np.arange(n, dtype=np.uint8)[:, None])
                       @ pow2)
     return SetFamily(n, frozenset(masks.tolist()))
+
+
+def reduction_mismatches(table: FiniteGroupTable, d: int) -> list:
+    """Group words w of degree <= d whose {x : w(x) != 1} differs from the
+    set of their ``words.group_ineq_to_semigroup_pair`` reduction, by degree,
+    then sign pattern (``itertools.product`` order), then coefficients.  The
+    ``words`` functions run once per sign pattern, with table lookups, on an
+    open mesh of indices (coefficient i along axis i, x along the last), of
+    order ** (d + 2) entries, which the guard of ``group_family`` bounds."""
+    import numpy as np
+
+    M = np.array(table.mul, dtype=np.uint8)
+    G = SimpleNamespace(one=lambda: table.id, mul=lambda a, b: M[a, b],
+                        inv=np.array(table.inv, dtype=np.uint8).take)
+    mismatches = []
+    for degree in range(d + 1):
+        *coeffs, x = np.ix_(*[np.arange(table.order)] * (degree + 2))
+        for signs in itertools.product((1, -1), repeat=degree):
+            w = words.GroupWord(tuple(coeffs), signs)
+            direct = words.eval_group(w, x, G) != table.id
+            pair = words.group_ineq_to_semigroup_pair(w, G)
+            bad = direct != words.holds_ineq(pair, x, G)
+            mismatches += [{"coeffs": c, "signs": list(signs)}
+                           for c in np.argwhere(bad.any(-1)).tolist()]
+    return mismatches
 
 
 def topology_close(fam: SetFamily) -> SetFamily:

@@ -232,7 +232,9 @@ def test_finite_check_reports_reduction_mismatches(tmp_path, monkeypatch):
     # off the abelian groups the degree-1 families differ: 19 against 8
     # sets on S3, 103 against 26 on S4
     ("S3", 2, [True, False, True]),
-    ("S4", 1, [True, False])])
+    ("S4", 1, [True, False]),
+    # the largest degree S4's guards admit, reduction sweep included
+    ("S4", 2, [True, False, False])])
 def test_finite_check_compares_families(tmp_path, group, degree, equal):
     code, report = run_json(tmp_path, ["finite-check", "--group", group,
                                        "--max-degree", str(degree)])

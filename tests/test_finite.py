@@ -6,11 +6,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zariski import finite
+from zariski import finite, words
 from zariski.errors import CarrierMismatch, TooLarge, UnknownGroup
 from zariski.finite import (FiniteGroupTable, SetFamily, TableGroup, builtin,
-                            family_subset, group_family, semigroup_family,
-                            topology_close)
+                            family_subset, group_family, reduction_mismatches,
+                            semigroup_family, topology_close)
 
 
 def test_builtin_examples():
@@ -148,6 +148,68 @@ def naive_group_family(table, d):
 def test_group_family_matches_naive_enumeration(name, d):
     table = table_named(name)
     assert group_family(table, d).masks == naive_group_family(table, d).masks
+
+
+def naive_reduction_mismatches(table, d):
+    """Per-point oracle for reduction_mismatches: each word and its
+    reduction evaluated at one point at a time, in the same order."""
+    n, mul, G = table.order, table.mul, TableGroup(table)
+
+    def value(row, x):
+        acc = row[0]
+        for c in row[1:]:
+            acc = mul[mul[acc][x]][c]
+        return acc
+
+    found = []
+    for degree in range(d + 1):
+        for signs in itertools.product((1, -1), repeat=degree):
+            for coeffs in itertools.product(range(n), repeat=degree + 1):
+                w = words.GroupWord(coeffs, signs)
+                pair = words.group_ineq_to_semigroup_pair(w, G)
+                (u,), (v,) = pair.A.rows, pair.B.rows
+                for x in range(n):
+                    acc = coeffs[0]
+                    for s, c in zip(signs, coeffs[1:]):
+                        occ = x if s > 0 else table.inv[x]
+                        acc = mul[mul[acc][occ]][c]
+                    if (acc != table.id) != (value(u, x) != value(v, x)):
+                        found.append({"coeffs": list(coeffs),
+                                      "signs": list(signs)})
+                        break
+    return found
+
+
+def drop_inverses(monkeypatch):
+    real = words.group_ineq_to_semigroup_pair
+
+    def reduce(w, G):
+        # wrong for every word with an x^-1: it reads x in its place
+        return real(words.GroupWord(w.coefficients, (1,) * w.degree), G)
+
+    monkeypatch.setattr(words, "group_ineq_to_semigroup_pair", reduce)
+
+
+@pytest.mark.parametrize("name,d,count", [("Z3", 1, 6), ("S3", 2, 264),
+                                          ("S3-relabelled", 2, 264)])
+def test_reduction_mismatches_match_per_point_oracle(monkeypatch, name, d,
+                                                     count):
+    # the sweep evaluates whole sign patterns at once; under a wrong
+    # reduction it must find exactly the words the per-point oracle finds,
+    # in the same order, and also where the identity is not 0
+    drop_inverses(monkeypatch)
+    table = table_named(name)
+    found = reduction_mismatches(table, d)
+    assert len(found) == count
+    assert found == naive_reduction_mismatches(table, d)
+
+
+@pytest.mark.parametrize("name,d", [("Z2", 3), ("Z3", 3), ("Z4", 3),
+                                    ("Z5", 3), ("Z6", 3), ("S3", 3),
+                                    ("S4", 2), ("S3-relabelled", 3)])
+def test_reduction_has_no_mismatch(name, d):
+    # each built-in at the degree finite-check sweeps at its guard edge
+    assert reduction_mismatches(table_named(name), d) == []
 
 
 def test_family_monotone_in_degree():
