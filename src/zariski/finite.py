@@ -34,7 +34,6 @@ from types import SimpleNamespace
 
 from zariski import words
 from zariski.errors import CarrierMismatch, TooLarge, UnknownGroup
-from zariski.groups import Group
 
 ENUMERATION_GUARD = 10 ** 6
 PAIR_GUARD = 5 * 10 ** 7
@@ -91,8 +90,8 @@ class FiniteGroupTable:
                    for a in range(self.order) for b in range(self.order))
 
 
-class TableGroup(Group):
-    """Group interface over table indices, for the generic word evaluators."""
+class TableGroup:
+    """The table's group on its indices, for the generic word evaluators."""
 
     def __init__(self, table: FiniteGroupTable):
         self.table = table

@@ -1,27 +1,18 @@
-"""Ambient monoid and group interfaces used by word evaluation.
+"""The carriers that word evaluation runs over.
 
-Word and matrix operations are generic over the carrier: they only need an
-identity, multiplication, and (for group words) inversion.  Cancellativity
-is assumed by the normalization algorithm but never checked at runtime.
+Word and matrix operations are generic over the carrier and duck-typed:
+a monoid is any object with ``one()`` and ``mul(a, b)``, and a group is
+a monoid that also has ``inv(a)``.  No base class enforces this.  The
+implementations are ``SymOmega`` and ``NatPlus`` here, ``TableGroup`` in
+``zariski.finite``, and the numpy table lookups that
+``finite.reduction_mismatches`` passes.  Cancellativity is assumed by the
+normalization algorithm but never checked at runtime.
 """
 
 from zariski.perm import IDENTITY, FinPermutation
 
 
-class Monoid:
-    def one(self):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-
-class Group(Monoid):
-    def inv(self, a):
-        raise NotImplementedError
-
-
-class SymOmega(Group):
+class SymOmega:
     """The finitary symmetric group on N; elements are FinPermutation."""
 
     def one(self) -> FinPermutation:
@@ -34,7 +25,7 @@ class SymOmega(Group):
         return a.inv()
 
 
-class NatPlus(Monoid):
+class NatPlus:
     """The naturals under addition: a cancellative monoid with no inverses.
 
     Used to exercise the normalization code path on a carrier where only

@@ -4,9 +4,10 @@ A pair (A, B) of ragged matrices with k rows each denotes the basic open
 set N_{A,B} of all x whose row evaluations differ in every coordinate:
 a row of coefficients (c0, ..., cn) is the positive word
 x -> c0 * x * c1 * ... * x * cn, and ``row_eval`` evaluates it in any
-monoid.  A single inequation u(x) != v(x) between positive words is the
-one-row pair ((u), (v)); ``zariski.words`` reduces low-degree group
-inequations to such pairs.
+monoid G, duck-typed as in ``zariski.groups``: any object with ``one()``
+and ``mul(a, b)``.  A single inequation u(x) != v(x) between positive
+words is the one-row pair ((u), (v)); ``zariski.words`` reduces
+low-degree group inequations to such pairs.
 
 Over Sym(N), ``membership`` never builds a row's value.  Two words
 agree off the points that x and their coefficients move, so it walks
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from zariski.errors import InvalidAdjuster, NotNormalized
-from zariski.groups import Monoid, SymOmega
+from zariski.groups import SymOmega
 from zariski.perm import FinPermutation, _json_list
 
 
@@ -44,10 +45,6 @@ class RaggedMatrix:
             raise ValueError("a ragged matrix needs at least one row")
         if not all(self.rows):
             raise ValueError("every row needs at least one entry")
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
 
     def degrees(self) -> tuple:
         return tuple(len(row) - 1 for row in self.rows)
@@ -64,7 +61,7 @@ class MatrixPair:
 
     @property
     def num_rows(self) -> int:
-        return self.A.num_rows
+        return len(self.A.rows)
 
     def degree_sum(self) -> int:
         return sum(self.A.degrees()) + sum(self.B.degrees())
@@ -77,7 +74,7 @@ def pair_of_rows(a_rows, b_rows) -> MatrixPair:
                       RaggedMatrix(tuple(map(tuple, b_rows))))
 
 
-def row_eval(row: tuple, x, G: Monoid):
+def row_eval(row: tuple, x, G):
     """The value c0 * x * c1 * ... * x * cn of a row of coefficients."""
     acc = row[0]
     for c in row[1:]:
@@ -95,7 +92,7 @@ def _image(row, x: dict, t):
     return t
 
 
-def membership(P: MatrixPair, x, G: Monoid) -> bool:
+def membership(P: MatrixPair, x, G) -> bool:
     """Is x in N_{A,B}, i.e. do all paired row evaluations differ?"""
     if isinstance(G, SymOmega):
         xm = x._map
@@ -169,7 +166,7 @@ class NormStep:
     signature: tuple
 
 
-def normalize_steps(P: MatrixPair, G: Monoid, adjuster):
+def normalize_steps(P: MatrixPair, G, adjuster):
     """Normalize and return ``(NormalForm, steps)``.
 
     Each row is rewritten once, in ascending order:
@@ -219,12 +216,12 @@ def normalize_steps(P: MatrixPair, G: Monoid, adjuster):
     return NormalForm.proper(pair_of_rows(*zip(*live.values()))), tuple(steps)
 
 
-def normalize(P: MatrixPair, G: Monoid, adjuster) -> NormalForm:
+def normalize(P: MatrixPair, G, adjuster) -> NormalForm:
     form, _ = normalize_steps(P, G, adjuster)
     return form
 
 
-def normal_membership(form: NormalForm, x, G: Monoid) -> bool:
+def normal_membership(form: NormalForm, x, G) -> bool:
     """Membership in the set denoted by a normal form."""
     if form.is_empty:
         return False

@@ -7,6 +7,10 @@ rewrites a group inequation ``w(x) != 1`` of degree at most 3 as
 ``u(x) != v(x)`` with u, v positive words.  That is the one-row matrix pair
 ``((u), (v))`` of ``zariski.ragged``, a basic set of the semigroup Zariski
 topology, which ``normalize`` and the witness accept like any other pair.
+
+The carrier G is duck-typed as in ``zariski.groups``: ``eval_group`` and
+the reduction call ``one()``, ``mul(a, b)`` and ``inv(a)``, and
+``holds_ineq`` only ``mul``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from zariski.errors import IrreducibleSignature
-from zariski.groups import Group, Monoid
 from zariski.ragged import MatrixPair, pair_of_rows, row_eval
 
 
@@ -38,7 +41,7 @@ class GroupWord:
         return len(self.signs)
 
 
-def eval_group(w: GroupWord, x, G: Group):
+def eval_group(w: GroupWord, x, G):
     xinv = None
     acc = w.coefficients[0]
     for sign, c in zip(w.signs, w.coefficients[1:]):
@@ -52,13 +55,13 @@ def eval_group(w: GroupWord, x, G: Group):
     return acc
 
 
-def holds_ineq(pair: MatrixPair, x, G: Monoid) -> bool:
+def holds_ineq(pair: MatrixPair, x, G) -> bool:
     """Is x in the basic set of a one-row pair, i.e. is u(x) != v(x)?"""
     (u,), (v,) = pair.A.rows, pair.B.rows
     return row_eval(u, x, G) != row_eval(v, x, G)
 
 
-def group_ineq_to_semigroup_pair(w: GroupWord, G: Group) -> MatrixPair:
+def group_ineq_to_semigroup_pair(w: GroupWord, G) -> MatrixPair:
     """The one-row pair ((u), (v)) of positive words with w(x) = 1 iff
     u(x) = v(x), for every x.
 

@@ -1,8 +1,10 @@
 """Ragged matrix pairs, basic-set membership, and normalization."""
 
 import hashlib
+import operator
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -281,6 +283,26 @@ def test_normalize_on_additive_naturals():
         for x in range(30):
             assert membership(P, x, NAT_PLUS) == \
                 normal_membership(form, x, NAT_PLUS)
+
+
+def test_duck_typed_monoid_matches_nat_plus():
+    """The carrier is any object with one() and mul(a, b): a bare namespace
+    gives the same forms, steps and membership answers as NAT_PLUS."""
+    bare = SimpleNamespace(one=lambda: 0, mul=operator.add)
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(200):
+        P = rand_nat_pair(rng)
+        form, steps = normalize_steps(P, bare, 1)
+        assert (form, steps) == normalize_steps(P, NAT_PLUS, 1)
+        kinds.update(s.kind for s in steps)
+        for x in range(30):
+            assert membership(P, x, bare) == membership(P, x, NAT_PLUS)
+            assert normal_membership(form, x, bare) == \
+                normal_membership(form, x, NAT_PLUS)
+    assert kinds == {"cancel", "adjust_a", "adjust_b", "delete", "empty"}
+    with pytest.raises(InvalidAdjuster):
+        normalize(P, bare, 0)
 
 
 def test_invalid_adjuster():

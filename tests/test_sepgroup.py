@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from zariski import sepgroup
 from zariski.randgen import rand_gelement
 from zariski.sepgroup import (AllEven, FiniteCandidates, brute_solve_on_Tm,
                               commutative_reduce, finiteness_bound, g_element,
@@ -87,6 +88,26 @@ def test_solve_examples_against_brute_oracle():
     for a, p, m, bound, expected in cases:
         assert brute_solve_on_Tm(a, p, m, bound) == expected
         assert solve_on_Tm(a, p, m, bound) == expected
+
+
+def test_brute_oracle_needs_no_closed_form(monkeypatch):
+    """The enumeration oracle stays independent of the solver it checks:
+    with the closed form and the bound unavailable, it still answers."""
+    def unavailable(*args):
+        raise AssertionError("the oracle called the closed form")
+
+    monkeypatch.setattr(sepgroup, "solve_on_Tm", unavailable)
+    monkeypatch.setattr(sepgroup, "finiteness_bound", unavailable)
+    cases = [
+        # x^6 = 1 on T_3 exactly at the even generators (6 = 0 mod 3)
+        (g_identity(), 6, 3, 9, frozenset({0, 2, 4, 6, 8})),
+        # a's odd generator survives; at n = 1 its exponent 1 + 2 != 0 in Z
+        (g_element({3: {1: 1}}), 2, 3, 9, frozenset()),
+        # only n = 4 cancels: 1 + 5 = 0 mod 3
+        (g_element({3: {4: 1}}), 5, 3, 9, frozenset({4})),
+    ]
+    for a, p, m, bound, expected in cases:
+        assert brute_solve_on_Tm(a, p, m, bound) == expected
 
 
 def test_solver_edge_cases():
