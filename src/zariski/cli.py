@@ -283,7 +283,6 @@ def cmd_finite_check(args) -> list:
             finite.family_subset(sem[e], grp[2 * e])
             for e in range(d // 2 + 1)),
     }
-    # group_family(table, d) has passed the same guard at degree >= this
     record["reduction_mismatches"] = finite.reduction_mismatches(
         table, min(d, 3))
     record["pass"] = (record["monotone_semigroup"]

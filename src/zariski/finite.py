@@ -14,7 +14,8 @@ not change when both words are multiplied by one element on the left, or
 on the right, so the semigroup family compares each t with every word
 a*t'*b; and a*t*b(x) != 1 exactly when t(x) != a^-1*b^-1, so the group
 family compares each t with every constant.  The tests check both against
-the fully naive enumeration.
+the fully naive enumeration.  Each enumeration, the reduction sweep
+included, checks its own guard before it builds anything.
 
 The families and the reduction sweep import numpy on their first call, so
 importing this module (and ``zariski.cli``) does not load it: numpy is
@@ -177,13 +178,12 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     n = table.order
     if n > 63:
         raise TooLarge(f"carrier of size {n} for 63-bit masks")
-    if n ** min(d + 1, _EXPONENT_CAP) > ENUMERATION_GUARD:
-        raise TooLarge(f"order {n} at degree {d}")
     # the guard counts the words with leading coefficient 1 against all
     # words, not the pairs built below (each t against every a*t'*b, fewer
     # from degree 1 on), so that the degrees it refuses do not depend on
     # that reduction
-    left = d + 1 if n == 1 else (n ** (d + 1) - 1) // (n - 1)
+    left = (d + 1 if n == 1
+            else (n ** min(d + 1, _EXPONENT_CAP) - 1) // (n - 1))
     if left * n * left > PAIR_GUARD:
         raise TooLarge(f"{left} x {n * left} word pairs")
     M = np.array(table.mul, dtype=np.uint8)
@@ -198,6 +198,13 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     return SetFamily(n, frozenset(masks))
 
 
+def _check_group_words(n: int, d: int) -> None:
+    """Refuse the n ** (d + 1) * 2 ** d group words of degree <= d."""
+    e = min(d, _EXPONENT_CAP)
+    if n ** (e + 1) * 2 ** e > ENUMERATION_GUARD:
+        raise TooLarge(f"order {n} at degree {d} with signs")
+
+
 def group_family(table: FiniteGroupTable, d: int) -> SetFamily:
     """All sets {x : w(x) != 1} over group words of degree at most d."""
     import numpy as np
@@ -205,9 +212,7 @@ def group_family(table: FiniteGroupTable, d: int) -> SetFamily:
     n = table.order
     if n > 63:
         raise TooLarge(f"carrier of size {n} for 63-bit masks")
-    if (n ** min(d + 1, _EXPONENT_CAP) * 2 ** min(d, _EXPONENT_CAP)
-            > ENUMERATION_GUARD):
-        raise TooLarge(f"order {n} at degree {d} with signs")
+    _check_group_words(n, d)
     M = np.array(table.mul, dtype=np.uint8)
     T = _word_vectors(M, table.id,
                       (np.arange(n), np.array(table.inv, dtype=np.uint8)), d)
@@ -225,9 +230,10 @@ def reduction_mismatches(table: FiniteGroupTable, d: int) -> list:
     then sign pattern (``itertools.product`` order), then coefficients.  The
     ``words`` functions run once per sign pattern, with table lookups, on an
     open mesh of indices (coefficient i along axis i, x along the last), of
-    order ** (d + 2) entries, which the guard of ``group_family`` bounds."""
+    order ** (d + 2) entries, under the guard of ``group_family``."""
     import numpy as np
 
+    _check_group_words(table.order, d)
     M = np.array(table.mul, dtype=np.uint8)
     G = SimpleNamespace(one=lambda: table.id, mul=lambda a, b: M[a, b],
                         inv=np.array(table.inv, dtype=np.uint8).take)

@@ -24,21 +24,20 @@ table rely on that dict being finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from zariski.errors import NotNormalized, OracleExhausted
+from zariski.errors import OracleExhausted
 from zariski.perm import FinPermutation, extend
 from zariski.ragged import MatrixPair, NormalForm, stack
 
 
 def pick_separators(P: MatrixPair) -> tuple:
     """For each row, the smallest point where the leading coefficients of
-    the A and B sides disagree."""
+    the A and B sides disagree.  ``P`` must be a proper normal form, as
+    ``construct_witness`` checks, so that every row has such a point."""
     seps = []
-    for i, (arow, brow) in enumerate(zip(P.A.rows, P.B.rows)):
+    for arow, brow in zip(P.A.rows, P.B.rows):
         a0, b0 = arow[0]._map, brow[0]._map
-        if a0 == b0:
-            raise NotNormalized(f"row {i} has equal leading entries")
         seps.append(min(x for x in a0.keys() | b0.keys()
                         if a0.get(x, x) != b0.get(x, x)))
     return tuple(seps)
@@ -52,13 +51,12 @@ class WitnessTrace:
     the stuck ``point`` q and its fresh ``image`` q'.  Each row's longest
     defined prefix after a step is not recorded: replaying the steps over
     the stacked pair derives it.  ``to_json`` returns these entries
-    themselves, not copies, so callers must not mutate them.  ``steps``
-    holds dicts, so it is left out of the hash; equality still compares it.
+    themselves, not copies, so callers must not mutate them.
     """
 
     separators: tuple
     forbidden_size: int  # points in the forbidden set when the loop ends
-    steps: tuple = field(hash=False)
+    steps: tuple
     final: FinPermutation
 
     def to_json(self) -> dict:
@@ -194,13 +192,8 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
                           "row": i % k, "point": q, "image": q_img})
 
     g = oracle.complete(xmap)
-    trace = WitnessTrace(
-        separators=seps,
-        forbidden_size=len(forbidden),
-        steps=tuple(steps),
-        final=g,
-    )
-    return g, trace
+    return g, WitnessTrace(separators=seps, forbidden_size=len(forbidden),
+                           steps=tuple(steps), final=g)
 
 
 def intersect_witness(P1: MatrixPair, P2: MatrixPair, oracle) -> tuple:

@@ -232,6 +232,40 @@ def test_enumeration_guards(monkeypatch):
         group_family(s4, 3)
 
 
+def test_reduction_sweep_checks_its_guard(monkeypatch):
+    # S4 at degree 3 would build a 24 ** 5-entry mesh per sign pattern;
+    # the guard must refuse it before the first mesh
+    monkeypatch.setattr("numpy.ix_", None)
+    with pytest.raises(TooLarge, match="order 24 at degree 3 with signs"):
+        reduction_mismatches(builtin("S4"), 3)
+
+
+def test_semigroup_guard_counts_pairs(monkeypatch):
+    # the pair guard refuses exactly when left * n * left passes it, and
+    # at every degree it admits there are at most ENUMERATION_GUARD words
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(finite, "_word_vectors", reached)
+    for n in (1, 2, 3, 6, 24, 63):
+        table = finite._cyclic(n)
+        for d in range(71):
+            left = d + 1 if n == 1 else (n ** (d + 1) - 1) // (n - 1)
+            if left * n * left > finite.PAIR_GUARD:
+                # above the exponent cap the count named is capped too
+                count = (f"^{left} x {n * left} "
+                         if d < finite._EXPONENT_CAP else "")
+                with pytest.raises(TooLarge, match=f"{count}word pairs$"):
+                    semigroup_family(table, d)
+            else:
+                assert n ** (d + 1) <= finite.ENUMERATION_GUARD
+                with pytest.raises(Reached):
+                    semigroup_family(table, d)
+
+
 def test_semigroup_family_s4_degree_two():
     # the largest family inside the guards: 26 x 14,976 word pairs
     assert len(semigroup_family(builtin("S4"), 2)) == 4411

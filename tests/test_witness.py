@@ -36,9 +36,6 @@ def test_pick_separators():
     P = pair_of_rows([[IDENTITY, T01], [c, IDENTITY]],
                      [[transposition(4, 9), IDENTITY], [c.inv(), T01]])
     assert pick_separators(P) == (4, 5)
-    bad = pair_of_rows([[T01, IDENTITY]], [[T01, T12]])
-    with pytest.raises(NotNormalized):
-        pick_separators(bad)
 
 
 def _brute_seven_parts(entries) -> set:
@@ -359,17 +356,14 @@ def test_determinism():
         g1, t1 = construct_witness(P1, symw_oracle())
         g2, t2 = construct_witness(P2, symw_oracle())
         assert g1 == g2 and t1 == t2
-        assert hash(t1) == hash(t2)
 
 
 def test_traces_differing_in_one_step():
-    # steps are left out of the hash, so both traces hash, yet equality
-    # still compares the step entries
+    # equality compares the step entries
     _, trace = construct_witness(COMMUTE_T01, symw_oracle())
     other = dataclasses.replace(
         trace, steps=(trace.steps[0], {**trace.steps[1], "image": 4}))
     assert trace != other
-    assert hash(trace) == hash(other)
 
 
 def test_large_degree_traces_pinned():
