@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An argument that breaks a stated precondition (an improper normal form, a
+base point a permutation fixes, two equal points, families on carriers of
+different sizes) raises ``ValueError``.  A ``ZariskiError`` subclass names
+a condition that valid input can still meet: ``EmptyInput`` and
+``OracleExhausted``, which the CLI maps to exit 1; ``TooLarge`` and
+``UnknownGroup``, which it maps to exit 2; and ``IrreducibleSignature``,
+a word beyond the degree-3 reduction.
+"""
 
 
 class ZariskiError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for the conditions that valid input can meet."""
 
 
 class IrreducibleSignature(ZariskiError):
@@ -10,26 +19,9 @@ class IrreducibleSignature(ZariskiError):
     rewritten as a pair of positive words by the rotation trick."""
 
 
-class NotNormalized(ZariskiError):
-    """Matrix pair does not satisfy the normal-form conditions required
-    by the witness construction."""
-
-
-class InvalidAdjuster(ZariskiError):
-    """The adjuster element passed to normalization equals the identity."""
-
-
 class OracleExhausted(ZariskiError):
     """The group oracle could not produce an admissible fresh image,
     i.e. it does not model a group with no algebraicity."""
-
-
-class InvalidPair(ZariskiError):
-    """Two-point operation called with x == y."""
-
-
-class FixedPoint(ZariskiError):
-    """Decomposition at a base point requires permutations moving it."""
 
 
 class UnknownGroup(ZariskiError):
@@ -38,14 +30,6 @@ class UnknownGroup(ZariskiError):
 
 class TooLarge(ZariskiError):
     """Exhaustive enumeration would exceed the configured guard."""
-
-
-class CarrierMismatch(ZariskiError):
-    """Set families live on carriers of different sizes."""
-
-
-class InfeasibleBounds(ZariskiError):
-    """A sampler was asked for objects its bounds can never produce."""
 
 
 class EmptyInput(ZariskiError):

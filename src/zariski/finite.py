@@ -12,9 +12,10 @@ words t whose leading and trailing coefficients are 1, since every word is
 a*t*b with such a t and constants a and b.  A pair's difference set does
 not change when both words are multiplied by one element on the left, or
 on the right, so the semigroup family compares each t with every word
-a*t'*b; and a*t*b(x) != 1 exactly when t(x) != a^-1*b^-1, so the group
-family compares each t with every constant.  The tests check both against
-the fully naive enumeration.  Each enumeration, the reduction sweep
+a*t'*b, and repeated value rows of t, which give equal sets, are
+compared once; and a*t*b(x) != 1 exactly when t(x) != a^-1*b^-1, so the
+group family compares each t with every constant.  The tests check both
+against the fully naive enumeration.  Each enumeration, the reduction sweep
 included, checks its own guard before it builds anything.
 
 The families and the reduction sweep import numpy on their first call, so
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from zariski import words
-from zariski.errors import CarrierMismatch, TooLarge, UnknownGroup
+from zariski.errors import TooLarge, UnknownGroup
 
 ENUMERATION_GUARD = 10 ** 6
 PAIR_GUARD = 5 * 10 ** 7
@@ -193,7 +194,8 @@ def semigroup_family(table: FiniteGroupTable, d: int) -> SetFamily:
     G = M[M[:, T][:, :, None, :], np.arange(n)[:, None]].reshape(-1, n)
     pow2 = 1 << np.arange(n, dtype=np.int64)
     masks = set()
-    for t in T:
+    # words with equal value vectors give equal sets
+    for t in {t.tobytes(): t for t in T}.values():
         masks.update(np.unique((t != G) @ pow2).tolist())
     return SetFamily(n, frozenset(masks))
 
@@ -273,5 +275,5 @@ def topology_close(fam: SetFamily) -> SetFamily:
 
 def family_subset(F1: SetFamily, F2: SetFamily) -> bool:
     if F1.order != F2.order:
-        raise CarrierMismatch(f"{F1.order} vs {F2.order}")
+        raise ValueError(f"{F1.order} vs {F2.order}")
     return F1.masks <= F2.masks

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from zariski.errors import InvalidAdjuster, NotNormalized
 from zariski.groups import SymOmega
 from zariski.perm import FinPermutation, _json_list
 
@@ -131,9 +130,9 @@ class NormalForm:
     def proper(cls, pair: MatrixPair) -> "NormalForm":
         for i, (arow, brow) in enumerate(zip(pair.A.rows, pair.B.rows)):
             if len(arow) == 1 and len(brow) == 1:
-                raise NotNormalized(f"row {i} has degree 0 on both sides")
+                raise ValueError(f"row {i} has degree 0 on both sides")
             if arow[0] == brow[0]:
-                raise NotNormalized(f"row {i} has equal leading entries")
+                raise ValueError(f"row {i} has equal leading entries")
         return cls("proper", pair)
 
     @property
@@ -184,7 +183,7 @@ def normalize_steps(P: MatrixPair, G, adjuster):
     exactly where cancellativity of G is used.
     """
     if adjuster == G.one():
-        raise InvalidAdjuster("adjuster must differ from the identity")
+        raise ValueError("adjuster must differ from the identity")
     live = {i: (list(a), list(b))
             for i, (a, b) in enumerate(zip(P.A.rows, P.B.rows))}
     steps = []

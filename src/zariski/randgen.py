@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from random import Random
 
-from zariski.errors import InfeasibleBounds
 from zariski.groups import SYM
 from zariski.perm import FinPermutation, transposition
 from zariski.ragged import MatrixPair, normalize, pair_of_rows
@@ -41,7 +40,7 @@ def rand_moving_perm(rng: Random, support: int, x: int) -> FinPermutation:
     moved, so any other x or support is rejected up front.
     """
     if not 0 <= x < support or support < 2:
-        raise InfeasibleBounds(
+        raise ValueError(
             f"no permutation of {{0, ..., {support - 1}}} moves {x}")
     while True:
         f = rand_perm(rng, support)
@@ -70,7 +69,7 @@ def rand_proper_pair(rng: Random, max_rows: int, max_degree: int,
     below one row or below degree one are rejected up front.
     """
     if max_rows < 1 or max_degree < 1:
-        raise InfeasibleBounds(
+        raise ValueError(
             f"no proper pair has at most {max_rows} row(s) of degree at "
             f"most {max_degree}; both bounds must be at least 1")
     while True:

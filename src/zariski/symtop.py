@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from zariski.errors import FixedPoint, InvalidPair
 from zariski.perm import FinPermutation, IDENTITY, transposition
 
 
@@ -32,8 +31,6 @@ def setwise_stabilizes(f: FinPermutation, x: int, y: int) -> bool:
 def stab_by_commutation(f: FinPermutation, x: int, y: int) -> bool:
     """Membership in the setwise stabilizer of {x, y}, decided by whether
     f commutes with the transposition of x and y."""
-    if x == y:
-        raise InvalidPair("need two distinct points")
     phi = transposition(x, y)
     return phi * f == f * phi
 
@@ -47,9 +44,9 @@ def maximal_decompose(f: FinPermutation, g: FinPermutation, x: int) -> tuple:
     the computation behind U_{x,x} being a maximal subsemigroup.
     """
     if f.apply(x) == x:
-        raise FixedPoint(f"f fixes {x}")
+        raise ValueError(f"f fixes {x}")
     if g.apply(x) == x:
-        raise FixedPoint(f"g fixes {x}")
+        raise ValueError(f"g fixes {x}")
     xf, xg = f.apply(x), g.apply(x)
     h = IDENTITY if xf == xg else transposition(xg, xf)
     phi = g * h * f.inv()

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from zariski import cli, finite, words
 from zariski.cli import main
-from zariski.errors import InfeasibleBounds, ZariskiError
 from zariski.groups import SYM
 from zariski.perm import IDENTITY, FinPermutation, transposition
 from zariski.ragged import (NormStep, membership, pair_of_rows, pair_to_json,
@@ -542,26 +541,12 @@ def test_huge_degree_finite_check_exits_2():
 
 def test_sampler_rejects_infeasible_bounds():
     for rows, degree in ((0, 3), (3, 0)):
-        with pytest.raises(ZariskiError):
+        with pytest.raises(ValueError, match="both bounds must be at least 1"):
             rand_proper_pair(Random(0), rows, degree, 8)
     # x outside {0, ..., support-1}, or fewer than two points to move it
     for support, x in ((3, 4), (3, 3), (3, -1), (1, 0), (0, 0)):
-        with pytest.raises(InfeasibleBounds):
+        with pytest.raises(ValueError, match="^no permutation of .* moves"):
             rand_moving_perm(Random(0), support, x)
-
-
-def strip_wall_time(text):
-    data = json.loads(text)
-    data.pop("wall_time_s", None)
-    return json.dumps(data, sort_keys=True)
-
-
-def test_reports_are_deterministic(tmp_path):
-    argv = ["witness", "--random", "--cases", "8", "--seed", "123"]
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert main(argv + ["--out", str(out1)]) == 0
-    assert main(argv + ["--out", str(out2)]) == 0
-    assert strip_wall_time(out1.read_text()) == strip_wall_time(out2.read_text())
 
 
 def test_table_format(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zariski import finite, words
-from zariski.errors import CarrierMismatch, TooLarge, UnknownGroup
+from zariski.errors import TooLarge, UnknownGroup
 from zariski.finite import (FiniteGroupTable, SetFamily, TableGroup, builtin,
                             family_subset, group_family, reduction_mismatches,
                             semigroup_family, topology_close)
@@ -120,6 +120,22 @@ def test_semigroup_family_matches_naive_enumeration(name, d):
     table = table_named(name)
     assert semigroup_family(table, d).masks == \
         naive_semigroup_family(table, d).masks
+
+
+def test_semigroup_family_compares_each_value_vector_once(monkeypatch):
+    # over Z3 a leading-1 word of degree <= 7 is x -> c + k*x, so its 1,094
+    # words have 9 distinct value vectors, and each is compared once
+    import numpy as np
+
+    unique, calls = np.unique, []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    assert semigroup_family(builtin("Z3"), 7).masks == {0, 3, 5, 6, 7}
+    assert len(calls) == 9
 
 
 def naive_group_family(table, d):
@@ -368,7 +384,7 @@ def test_family_subset():
     d2 = topology_close(group_family(z6, 2))
     assert family_subset(d1, d2)
     z4 = topology_close(group_family(builtin("Z4"), 1))
-    with pytest.raises(CarrierMismatch):
+    with pytest.raises(ValueError, match="^6 vs 4$"):
         family_subset(sem, z4)
 
 
