@@ -5,7 +5,7 @@ Submodules:
 * ``perm``     -- finitely supported permutations of N and ``extend``;
 * ``ragged``   -- ragged matrix pairs of positive words, row evaluation,
   basic open sets, normal forms;
-* ``words``    -- group words, their evaluation, and the degree-3
+* ``words``    -- group words, their evaluation, and the rotate-and-split
   reduction of a group inequation to a one-row matrix pair;
 * ``witness``  -- hyperconnectedness witnesses via partial-bijection extension;
 * ``sepgroup`` -- the countable abelian group separating bounded Zariski

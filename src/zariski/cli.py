@@ -283,8 +283,7 @@ def cmd_finite_check(args) -> list:
             finite.family_subset(sem[e], grp[2 * e])
             for e in range(d // 2 + 1)),
     }
-    record["reduction_mismatches"] = finite.reduction_mismatches(
-        table, min(d, 3))
+    record["reduction_mismatches"] = finite.reduction_mismatches(table, d)
     record["pass"] = (record["monotone_semigroup"]
                       and record["monotone_group"]
                       and not record["reduction_mismatches"]

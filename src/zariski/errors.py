@@ -6,7 +6,7 @@ different sizes) raises ``ValueError``.  A ``ZariskiError`` subclass names
 a condition that valid input can still meet: ``EmptyInput`` and
 ``OracleExhausted``, which the CLI maps to exit 1; ``TooLarge`` and
 ``UnknownGroup``, which it maps to exit 2; and ``IrreducibleSignature``,
-a word beyond the degree-3 reduction.
+a word with more than two cyclic sign changes.
 """
 
 
@@ -15,8 +15,8 @@ class ZariskiError(Exception):
 
 
 class IrreducibleSignature(ZariskiError):
-    """Group word of degree >= 4 with mixed exponent signs cannot be
-    rewritten as a pair of positive words by the rotation trick."""
+    """Group word with more than two cyclic sign changes, which no rotation
+    splits into a positive half and a negative half."""
 
 
 class OracleExhausted(ZariskiError):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from zariski import words
-from zariski.errors import TooLarge, UnknownGroup
+from zariski.errors import IrreducibleSignature, TooLarge, UnknownGroup
 
 ENUMERATION_GUARD = 10 ** 6
 PAIR_GUARD = 5 * 10 ** 7
@@ -230,9 +230,9 @@ def reduction_mismatches(table: FiniteGroupTable, d: int) -> list:
     """Group words w of degree <= d whose {x : w(x) != 1} differs from the
     set of their ``words.group_ineq_to_semigroup_pair`` reduction, by degree,
     then sign pattern (``itertools.product`` order), then coefficients.  The
-    ``words`` functions run once per sign pattern, with table lookups, on an
-    open mesh of indices (coefficient i along axis i, x along the last), of
-    order ** (d + 2) entries, under the guard of ``group_family``."""
+    ``words`` functions run once per sign pattern the reduction accepts, on
+    an open mesh of indices (coefficient i along axis i, x along the last),
+    of order ** (d + 2) entries, under the guard of ``group_family``."""
     import numpy as np
 
     _check_group_words(table.order, d)
@@ -244,8 +244,11 @@ def reduction_mismatches(table: FiniteGroupTable, d: int) -> list:
         *coeffs, x = np.ix_(*[np.arange(table.order)] * (degree + 2))
         for signs in itertools.product((1, -1), repeat=degree):
             w = words.GroupWord(tuple(coeffs), signs)
+            try:
+                pair = words.group_ineq_to_semigroup_pair(w, G)
+            except IrreducibleSignature:
+                continue
             direct = words.eval_group(w, x, G) != table.id
-            pair = words.group_ineq_to_semigroup_pair(w, G)
             bad = direct != words.holds_ineq(pair, x, G)
             mismatches += [{"coeffs": c, "signs": list(signs)}
                            for c in np.argwhere(bad.any(-1)).tolist()]

@@ -1,10 +1,10 @@
-"""Group words, their evaluation, and the reduction of low-degree group
-inequations to pairs of positive words.
+"""Group words, their evaluation, and the reduction of group inequations to
+pairs of positive words.
 
 A group word with coefficients (a0, ..., an) and signs (e1, ..., en) is
 the map x -> a0*x^e1*a1*...*x^en*an.  ``group_ineq_to_semigroup_pair``
-rewrites a group inequation ``w(x) != 1`` of degree at most 3 as
-``u(x) != v(x)`` with u, v positive words.  That is the one-row matrix pair
+rewrites a group inequation ``w(x) != 1`` with at most two cyclic sign
+changes as ``u(x) != v(x)``, u and v positive: the one-row matrix pair
 ``((u), (v))`` of ``zariski.ragged``, a basic set of the semigroup Zariski
 topology, which ``normalize`` and the witness accept like any other pair.
 
@@ -16,6 +16,7 @@ the reduction call ``one()``, ``mul(a, b)`` and ``inv(a)``, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from zariski.errors import IrreducibleSignature
 from zariski.ragged import MatrixPair, pair_of_rows, row_eval
@@ -61,33 +62,30 @@ def holds_ineq(pair: MatrixPair, x, G) -> bool:
     return row_eval(u, x, G) != row_eval(v, x, G)
 
 
+@lru_cache
+def _rotation(signs: tuple) -> tuple:
+    """(r, i) such that signs[r:] + signs[:r] reads i pluses, then minuses."""
+    starts = [k for k, s in enumerate(signs) if s > 0 > signs[k - 1]] or [0]
+    if len(starts) > 1:
+        raise IrreducibleSignature(f"{signs}: over two cyclic sign changes")
+    return starts[0], signs.count(1)
+
+
 def group_ineq_to_semigroup_pair(w: GroupWord, G) -> MatrixPair:
     """The one-row pair ((u), (v)) of positive words with w(x) = 1 iff
     u(x) = v(x), for every x.
 
-    Accepts any degree when all signs agree, and mixed signs up to degree 3.
-    A word with more than one negative occurrence is first replaced by its
-    formal inverse (w = 1 iff w^-1 = 1), which leaves at most one negative
-    occurrence up to degree 3.  A positive word is then paired with the
-    constant 1, and a word with one negative occurrence is rotated
-    (uv = 1 iff vu = 1) so the lone x^{-1} moves to the front and cancels
-    against a plain x on the other side.  Degree >= 4 with mixed signs has
-    no such rewriting here and raises IrreducibleSignature.
-    """
-    negs = w.signs.count(-1)
-    if w.degree >= 4 and 0 < negs < w.degree:
-        raise IrreducibleSignature(
-            f"degree {w.degree} with {negs} negative signs")
-    coeffs, signs = w.coefficients, w.signs
-    if negs > 1:
-        # the formal inverse: coefficients reversed and inverted, signs
-        # reversed and flipped
-        coeffs = tuple(map(G.inv, reversed(coeffs)))
-        signs = tuple(-s for s in reversed(signs))
-    if -1 not in signs:
-        return pair_of_rows((coeffs,), ((G.one(),),))
-    # w = p x^-1 q with p, q positive; w(x) = 1 iff q(x)p(x) = x
-    i = signs.index(-1) + 1  # coefficient index right of the negative x
-    p, q = coeffs[:i], coeffs[i:]
-    fused = q[:-1] + (G.mul(q[-1], p[0]),) + p[1:]
-    return pair_of_rows((fused,), ((G.one(), G.one()),))  # x on the right
+    Conjugated by a0, w = 1 iff the cyclic word (x^e1 b1)...(x^en bn) = 1,
+    where b_k = a_k for k < n and bn = an*a0.  Rotated left by r, its signs
+    read i pluses, then minuses (no r does if they change sign more than
+    twice around the cycle, and IrreducibleSignature is raised), so P*Q = 1
+    with P = x b_{r+1} ... x b_{r+i} and Q^-1 = b_{r+n}^-1 x ...
+    b_{r+i+1}^-1 x, indices mod n, both positive.  Degree 0 pairs a0 with 1."""
+    a = w.coefficients
+    if not w.signs:
+        return pair_of_rows((a,), ((G.one(),),))
+    r, i = _rotation(w.signs)
+    b = a[1:-1] + (G.mul(a[-1], a[0]),)
+    b = b[r:] + b[:r]
+    return pair_of_rows(((G.one(),) + b[:i],),
+                        (tuple(map(G.inv, reversed(b[i:]))) + (G.one(),),))

@@ -1,5 +1,5 @@
-"""Word evaluation and the degree-3 reduction of group inequations to
-one-row matrix pairs."""
+"""Word evaluation and the reduction of group inequations to one-row matrix
+pairs."""
 
 import hashlib
 import itertools
@@ -54,66 +54,24 @@ def test_holds_ineq_examples():
     assert not holds_ineq(comm, IDENTITY, SYM)
 
 
-def s3_elements():
-    table = builtin("S3")
-    return TableGroup(table), range(table.order)
-
-
-def equivalent_on(G, elems, w, pair):
-    one = G.one()
-    return all((eval_group(w, x, G) == one) != holds_ineq(pair, x, G)
-               for x in elems)
-
-
-def test_reduction_all_positive():
-    a, b = T01, T12
-    w = GroupWord((a, b, IDENTITY), (1, 1))
+def test_reduction_rotates_and_splits():
+    # w = a0 x^-1 a1 x a2 x a3 x^-1 a4 = 1 iff, conjugated by a0,
+    # x^-1 a1 x a2 x a3 x^-1 (a4 a0) = 1; rotated left by r = 1 its signs
+    # read + + - -, and x a2 x a3 = (x^-1 (a4 a0) x^-1 a1)^-1
+    a0, a1, a2, a4 = (transposition(0, 1), transposition(1, 2),
+                      transposition(2, 3), transposition(0, 4))
+    a3 = FinPermutation({0: 2, 2: 3, 3: 0})
+    w = GroupWord((a0, a1, a2, a3, a4), (-1, 1, 1, -1))
     pair = group_ineq_to_semigroup_pair(w, SYM)
-    assert pair == pair_of_rows([[a, b, IDENTITY]], [[IDENTITY]])
-
-
-def test_reduction_single_inverse():
-    # w = a x^-1 b  ->  (b*a, x); checked exhaustively over S3
-    G, elems = s3_elements()
-    for a in elems:
-        for b in elems:
-            w = GroupWord((a, b), (-1,))
-            pair = group_ineq_to_semigroup_pair(w, G)
-            assert pair == pair_of_rows([[G.mul(b, a)]], [[G.one(), G.one()]])
-            assert equivalent_on(G, elems, w, pair)
-
-
-def test_reduction_mixed_degree_two():
-    # w = a x b x^-1 c  ->  (c*a x b, x); checked exhaustively over S3
-    G, elems = s3_elements()
-    for a, b, c in itertools.product(elems, repeat=3):
-        w = GroupWord((a, b, c), (1, -1))
-        pair = group_ineq_to_semigroup_pair(w, G)
-        assert pair == pair_of_rows([[G.mul(c, a), b]], [[G.one(), G.one()]])
-        assert equivalent_on(G, elems, w, pair)
-
-
-def test_reduction_majority_negative():
-    G, elems = s3_elements()
-    one, inv = G.one(), G.inv
-    # two negatives out of three: pass to the formal inverse
-    # 1 x 1 x^-1 b^-1 x a^-1, then rotate its lone x^-1 to the front
-    for a, b in itertools.product(elems, repeat=2):
-        w = GroupWord((a, b, one, one), (-1, 1, -1))
-        pair = group_ineq_to_semigroup_pair(w, G)
-        assert pair == pair_of_rows([[inv(b), inv(a), one]], [[one, one]])
-        assert equivalent_on(G, elems, w, pair)
-    # all negative, any degree: the formal inverse is a positive word
-    w = GroupWord(tuple(range(4)) + (0,), (-1, -1, -1, -1))
-    pair = group_ineq_to_semigroup_pair(w, G)
-    assert pair == pair_of_rows([[inv(c) for c in (0, 3, 2, 1, 0)]], [[one]])
-    assert equivalent_on(G, elems, w, pair)
+    assert pair == pair_of_rows([[IDENTITY, a2, a3]],
+                                [[a1.inv(), (a4 * a0).inv(), IDENTITY]])
 
 
 def test_reduction_s3_digest():
-    # the reduced rows of every S3 word of degree <= 3, pinned against a
-    # change in any branch of the reduction
-    G, elems = s3_elements()
+    # the reduced rows of every S3 word of degree <= 3, pinned against any
+    # change to the rotate-and-split rule
+    table = builtin("S3")
+    G, elems = TableGroup(table), range(table.order)
     rows = []
     for degree in range(4):
         for signs in itertools.product((1, -1), repeat=degree):
@@ -122,7 +80,7 @@ def test_reduction_s3_digest():
                 rows.append([pair.A.rows, pair.B.rows])
     assert len(rows) == 11310
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "0e3ac20c1d993e0767567e4c70d54ca9e085528dbb65ec9e8757bb84de742286")
+        "d05204140e7826573bda5363b22d612a07513861c8d55f90900b0682709a9f6b")
 
 
 def _rand_group_word(rng, support):
@@ -170,21 +128,56 @@ def test_reduced_pairs_normalize_and_witness():
                      DEFAULT_ADJUSTER).is_full
 
 
-def test_reduction_errors_and_degrees():
-    w = GroupWord((IDENTITY,) * 5, (1, 1, -1, 1))
-    with pytest.raises(IrreducibleSignature):
-        group_ineq_to_semigroup_pair(w, SYM)
-    # all-positive degree >= 4 stays fine
-    w = GroupWord((IDENTITY,) * 5, (1, 1, 1, 1))
-    assert group_ineq_to_semigroup_pair(w, SYM).degree_sum() == 4
+def cyclic_sign_changes(signs):
+    return sum(s != signs[k - 1] for k, s in enumerate(signs))
 
 
-@given(st.integers(0, 5))
-def test_degree_bookkeeping(seed):
-    w = _rand_group_word(random.Random(seed), 6)
+def cycle_lengths(p, points=7):
+    # the length of the cycle through each point; conjugates agree on it
+    def length(t):
+        k, y = 1, p.apply(t)
+        while y != t:
+            k, y = k + 1, p.apply(y)
+        return k
+    return sorted(map(length, range(points)))
+
+
+@given(st.lists(st.sampled_from((1, -1)), max_size=8), st.integers(0, 2 ** 32))
+def test_reduction_errors_and_degrees(signs, seed):
+    # the rule refuses exactly the words whose cyclic sign sequence changes
+    # sign more than twice, and otherwise keeps the degree and the set; as
+    # u*v^-1 is a rotation of w conjugated by a0, it is conjugate to w
+    rng = random.Random(seed)
+    w = GroupWord(tuple(rand_perm(rng, 5) for _ in range(len(signs) + 1)),
+                  tuple(signs))
+    if cyclic_sign_changes(signs) > 2:
+        with pytest.raises(IrreducibleSignature):
+            group_ineq_to_semigroup_pair(w, SYM)
+        return
     pair = group_ineq_to_semigroup_pair(w, SYM)
     assert pair.num_rows == 1
     assert pair.degree_sum() == w.degree
+    (u,), (v,) = pair.A.rows, pair.B.rows
+    for _ in range(10):
+        x = rand_perm(rng, 7)
+        wx = eval_group(w, x, SYM)
+        assert (wx != IDENTITY) == holds_ineq(pair, x, SYM)
+        assert cycle_lengths(wx) == cycle_lengths(
+            row_eval(u, x, SYM) * row_eval(v, x, SYM).inv())
+
+
+@pytest.mark.parametrize("degree,refused", [(3, 0), (4, 2), (5, 10),
+                                            (6, 32)])
+def test_reduction_refusal_counts(degree, refused):
+    # how many of the 2 ** degree sign patterns the rule refuses
+    ones = (IDENTITY,) * (degree + 1)
+    count = 0
+    for signs in itertools.product((1, -1), repeat=degree):
+        try:
+            group_ineq_to_semigroup_pair(GroupWord(ones, signs), SYM)
+        except IrreducibleSignature:
+            count += 1
+    assert count == refused
 
 
 def test_word_validation():
