@@ -21,11 +21,8 @@ those dicts directly live beside their callers (``perm``, ``ragged`` and
 table for its families and its sweep of the word reduction, and imports
 it on the first such call: ``witness``, ``normalize``, ``intersect``,
 ``separate`` and ``symcheck`` never load it, and a ``witness`` run on a
-small pair takes about 0.1 s from start to exit.  The families are built
-from the value vectors of the words t whose leading and trailing
-coefficients are 1, since every word is a*t*b with such a t and constants
-a and b, moving the outer factors to the other side: a*t*b differs from
-f, or from 1, where t differs from a^-1*f*b^-1, or from a^-1*b^-1.
+small pair takes about 0.1 s from start to exit.  The ``finite``
+docstring explains how its families reduce every word to a*t*b.
 """
 
 __version__ = "0.1.0"

@@ -80,16 +80,7 @@ def test_membership_walk_property(seed, rows, degree, support, x_support,
     generic = all(row_eval(a, x, SYM) != row_eval(b, x, SYM)
                   for a, b in zip(P.A.rows, P.B.rows))
     assert membership(P, x, SYM) == generic
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3),
-       degree=st.integers(0, 3), support=st.integers(0, 6),
-       shift=st.integers(0, 10 ** 6))
-def test_membership_equal_row_property(seed, rows, degree, support, shift):
-    rng = random.Random(seed)
-    P = shifted_pair(rand_pair(rng, rows, degree, support), shift)
-    x = shifted(rand_perm(rng, support + 2), shift)
+    # a B row replaced by the constant its A row takes at x excludes x
     i = rng.randrange(P.num_rows)
     b_rows = list(P.B.rows)
     b_rows[i] = (row_eval(P.A.rows[i], x, SYM),)
@@ -167,30 +158,36 @@ def test_normalize_adjust_case():
     assert form.pair.B.rows == ((a * f,),)
 
 
-def _membership_draw(seed, pairs, support):
-    """Check membership agreement on ``pairs`` random pairs with 100 points
-    each; return the counts of the answers and of the step kinds."""
-    rng = random.Random(seed)
+def test_normalize_preserves_membership():
+    # on 3 points both answers and every step kind occur, so a rewrite
+    # that changes the denoted set disagrees somewhere; each step keeps
+    # the signature (adjust, once a row) or lowers it (every other kind)
+    rng = random.Random(7_2024)
     answers, kinds = Counter(), Counter()
-    for _ in range(pairs):
-        P = rand_pair(rng, 3, 4, support)
+    for _ in range(200):
+        P = rand_pair(rng, 3, 4, 3)
         form, steps = normalize_steps(P, SYM, DEFAULT_ADJUSTER)
         kinds.update(s.kind for s in steps)
+        prev = signature(P)
+        adjusted_rows = set()
+        for s in steps:
+            if s.kind in ("cancel", "delete", "empty"):
+                assert s.signature < prev
+            else:
+                assert s.signature == prev
+                assert s.row not in adjusted_rows
+                adjusted_rows.add(s.row)
+            prev = s.signature
+        if form.is_proper:
+            for arow, brow in zip(form.pair.A.rows, form.pair.B.rows):
+                assert len(arow) > 1 or len(brow) > 1
+                assert arow[0] != brow[0]
         for _ in range(100):
-            x = rand_perm(rng, support)
+            x = rand_perm(rng, 3)
             answer = membership(P, x, SYM)
             assert answer == normal_membership(form, x, SYM), \
-                f"draw {seed}: the normal form changes membership at {x}"
+                f"the normal form changes membership at {x}"
             answers[answer] += 1
-    return answers, kinds
-
-
-def test_normalize_preserves_membership():
-    _membership_draw(11, 60, 8)
-    # on 8 points every point is a member and only deletes occur; on 3
-    # points both answers and every step kind occur, so a rewrite that
-    # changes the denoted set disagrees somewhere
-    answers, kinds = _membership_draw(7_2024, 200, 3)
     assert answers == {True: 14_228, False: 5_772}
     assert kinds == {"cancel": 49, "delete": 14, "adjust_a": 13,
                      "adjust_b": 13, "empty": 2}
@@ -215,33 +212,6 @@ def rand_nat_pair(rng):
          for _ in range(k)),
         ([rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
          for _ in range(k)))
-
-
-def test_normalize_step_signatures():
-    # on 6 points the rows' leading entries almost never agree, so only
-    # delete fires; on 2 points every rewrite does
-    kinds = set()
-    for support in (6, 2):
-        rng = random.Random(13)
-        for _ in range(200):
-            P = rand_pair(rng, 3, 4, support)
-            form, steps = normalize_steps(P, SYM, DEFAULT_ADJUSTER)
-            prev = signature(P)
-            adjusted_rows = set()
-            for s in steps:
-                kinds.add(s.kind)
-                if s.kind in ("cancel", "delete", "empty"):
-                    assert s.signature < prev
-                else:
-                    assert s.signature == prev
-                    assert s.row not in adjusted_rows
-                    adjusted_rows.add(s.row)
-                prev = s.signature
-            if form.is_proper:
-                for arow, brow in zip(form.pair.A.rows, form.pair.B.rows):
-                    assert len(arow) > 1 or len(brow) > 1
-                    assert arow[0] != brow[0]
-    assert kinds == {"cancel", "adjust_a", "adjust_b", "delete", "empty"}
 
 
 def test_normalize_steps_pinned():

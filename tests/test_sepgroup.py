@@ -157,19 +157,6 @@ def test_finiteness_bound_examples():
     assert finiteness_bound(a, 2, 2) == FiniteCandidates(frozenset())
 
 
-def test_separation_dichotomy_small_scale():
-    rng = random.Random(29)
-    for m in (2, 3, 4, 5):
-        for p in range(1, m):
-            for _ in range(40):
-                a = rand_gelement(rng)
-                bnd = finiteness_bound(a, p, m)
-                assert isinstance(bnd, FiniteCandidates)
-                assert brute_solve_on_Tm(a, p, m, 60) <= bnd.indices
-        evens = solve_on_Tm(g_identity(), m, m, 60)
-        assert evens == frozenset(range(0, 61, 2))
-
-
 def test_commutative_reduce():
     a = g_element({2: {1: 3}})
     assert commutative_reduce(a, 3) == (a, 3)

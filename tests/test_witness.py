@@ -9,13 +9,13 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zariski.errors import OracleExhausted
 from zariski.groups import SYM
 from zariski.perm import FinPermutation, IDENTITY, transposition
-from zariski.ragged import membership, pair_of_rows, stack
-from zariski.randgen import rand_proper_pair
+from zariski.ragged import membership, normalize, pair_of_rows, stack
+from zariski.randgen import DEFAULT_ADJUSTER, rand_proper_pair
 from zariski import witness
 from zariski.witness import (SymOmegaOracle, construct_witness,
                              intersect_witness, pick_separators, symw_oracle)
@@ -95,40 +95,6 @@ def test_forbidden_set_repeated_entries():
     assert trace.forbidden_size == 9 == _recount_forbidden(P, trace)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4),
-       degree=st.integers(1, 6), support=st.integers(0, 12),
-       offset=st.integers(0, 10 ** 6))
-@example(seed=0, rows=1, degree=1, support=2, offset=2 ** 70)
-def test_forbidden_set_property(seed, rows, degree, support, offset):
-    # the same pair moved up by offset: separators and stuck points
-    # leave the small naturals, while the images stay there
-    P = rand_proper_pair(random.Random(seed), rows, degree, support)
-    shift = [[FinPermutation({x + offset: y + offset
-                              for x, y in c._map.items()}) for c in row]
-             for row in P.A.rows + P.B.rows]
-    P = pair_of_rows(shift[:P.num_rows], shift[P.num_rows:])
-    g, trace = construct_witness(P, symw_oracle())
-    assert membership(P, g, SYM)
-    assert trace.forbidden_size == _recount_forbidden(P, trace)
-
-
-@pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 255, 256, 257])
-def test_forbidden_set_word_boundaries(n):
-    # supports on either side of the 8-byte words and the 8-bit table of an
-    # earlier count of the seven-part set; the point count has no such
-    # boundaries and must match the recount on every support size
-    points = [x + 1000 for x in range(n)]
-    rng = random.Random(n)
-    cycle = FinPermutation(dict(zip(points, points[1:] + points[:1])))
-    shuffle = FinPermutation(dict(zip(points, rng.sample(points, n))))
-    swap = transposition(points[-2], points[-1])
-    P = pair_of_rows([[cycle, shuffle]], [[swap, IDENTITY]])
-    g, trace = construct_witness(P, symw_oracle())
-    assert membership(P, g, SYM)
-    assert trace.forbidden_size == _recount_forbidden(P, trace)
-
-
 def test_witness_trace_matches_hand_run():
     g, trace = construct_witness(COMMUTE_T01, symw_oracle())
     assert trace.separators == (0,)
@@ -138,6 +104,17 @@ def test_witness_trace_matches_hand_run():
     assert (T01 * g).apply(0) == 2
     assert (g * T01).apply(0) == 3
     assert membership(COMMUTE_T01, g, SYM)
+    # the image 1 of the first step lies in the support of the next
+    # coefficient (1 11), which takes it to 11 before x applies again
+    P = pair_of_rows([[transposition(5, 8), transposition(1, 11),
+                       transposition(0, 6), transposition(2, 3)]],
+                     [[transposition(6, 8), IDENTITY]])
+    g, trace = construct_witness(P, symw_oracle())
+    assert trace.separators == (5,)
+    assert [(s["point"], s["image"]) for s in trace.steps] == \
+        [(8, 1), (11, 2), (2, 4), (5, 7)]
+    assert trace.forbidden_size == 10 == _recount_forbidden(P, trace)
+    assert membership(P, g, SYM)
 
 
 def test_witness_whole_group_row():
@@ -295,75 +272,101 @@ def _replay_conditions(P, trace):
         assert not translated & set(seps)  # condition (4)
 
 
-def test_random_witnesses_and_invariants():
-    rng = random.Random(99)
-    oracle = symw_oracle()
-    for _ in range(150):
-        P = rand_proper_pair(rng, 3, 3, 8)
-        g, trace = construct_witness(P, oracle)
-        assert membership(P, g, SYM)
-        assert len(trace.steps) <= P.degree_sum()
-        # the certificate survives a JSON round trip unchanged: no tuple
-        # anywhere in it, which no digest of the JSON text can see
-        cert = json.loads(json.dumps(trace.to_json()))
-        assert cert == trace.to_json()
-        assert cert["forbidden_size"] == _recount_forbidden(P, trace)
-        _replay_conditions(P, trace)
-        # the defined prefixes, derived by replay, never decrease; the
-        # handled row strictly advances and is the first unfinished one, A
-        # rows then B rows
-        assert all(sorted(s) == ["case", "image", "point", "row"]
-                   for s in cert["steps"])
-        prev_a = [0] * P.num_rows
-        prev_b = [0] * P.num_rows
-        for n, (s, (pre_a, pre_b)) in enumerate(
-                zip(cert["steps"], _prefixes(P, cert))):
-            unfinished = [(case, i) for case, degs, prev in (
-                ("alpha", P.A.degrees(), prev_a),
-                ("beta", P.B.degrees(), prev_b))
-                for i, d in enumerate(degs) if prev[i] < d] + [None]
-            case, row = s["case"], s["row"]
-            assert (case, row) == unfinished[0], \
-                f"step {n} works on {(case, row)}, but the first " \
-                f"unfinished row is {unfinished[0]}"
-            assert all(x >= y for x, y in zip(pre_a, prev_a))
-            assert all(x >= y for x, y in zip(pre_b, prev_b))
-            if case == "alpha":
-                assert pre_a[row] > prev_a[row]
-            else:
-                assert pre_b[row] > prev_b[row]
-            prev_a, prev_b = pre_a, pre_b
-        assert (tuple(prev_a), tuple(prev_b)) == \
-            (P.A.degrees(), P.B.degrees()), "a row is left unfinished"
+def _sparse_proper_pair(rng):
+    """A proper pair of 1-3 rows of degree at most 3 whose coefficients
+    are each the identity or one transposition of {0, ..., 11}.  Its
+    fresh images often land in a later coefficient's support, which the
+    dense draws of ``rand_proper_pair`` on 8 points almost never do."""
+    def coefficient():
+        x, y = rng.randrange(12), rng.randrange(12)
+        return IDENTITY if x == y else transposition(x, y)
+
+    while True:
+        k = rng.randint(1, 3)
+        A, B = ([[coefficient() for _ in range(rng.randint(1, 4))]
+                 for _ in range(k)] for _ in "AB")
+        form = normalize(pair_of_rows(A, B), SYM, DEFAULT_ADJUSTER)
+        if form.is_proper:
+            return form.pair
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3),
-       degree=st.integers(1, 3), support=st.integers(0, 8))
-def test_witness_membership_property(seed, rows, degree, support):
-    P = rand_proper_pair(random.Random(seed), rows, degree, support)
-    g, trace = construct_witness(P, symw_oracle())
+def _shift(P, offset):
+    rows = [[FinPermutation({x + offset: y + offset
+                             for x, y in c._map.items()}) for c in row]
+            for row in P.A.rows + P.B.rows]
+    return pair_of_rows(rows[:P.num_rows], rows[P.num_rows:])
+
+
+def _check_witness(P, g, trace):
+    """Membership, the step bound and the forbidden-set recount; then the
+    defined prefixes, derived by replaying the steps, never decrease, and
+    the handled row strictly advances and is the first unfinished one, A
+    rows then B rows.  Membership alone rarely catches a wrong step: most
+    completions of a partial map lie in N_{A,B} anyway."""
     assert membership(P, g, SYM)
     assert len(trace.steps) <= P.degree_sum()
+    assert trace.forbidden_size == _recount_forbidden(P, trace)
+    prev_a = [0] * P.num_rows
+    prev_b = [0] * P.num_rows
+    for n, (s, (pre_a, pre_b)) in enumerate(
+            zip(trace.steps, _prefixes(P, trace.to_json()))):
+        unfinished = [(case, i) for case, degs, prev in (
+            ("alpha", P.A.degrees(), prev_a),
+            ("beta", P.B.degrees(), prev_b))
+            for i, d in enumerate(degs) if prev[i] < d] + [None]
+        case, row = s["case"], s["row"]
+        assert (case, row) == unfinished[0], \
+            f"step {n} works on {(case, row)}, but the first " \
+            f"unfinished row is {unfinished[0]}"
+        assert all(x >= y for x, y in zip(pre_a, prev_a))
+        assert all(x >= y for x, y in zip(pre_b, prev_b))
+        if case == "alpha":
+            assert pre_a[row] > prev_a[row]
+        else:
+            assert pre_b[row] > prev_b[row]
+        prev_a, prev_b = pre_a, pre_b
+    assert (tuple(prev_a), tuple(prev_b)) == \
+        (P.A.degrees(), P.B.degrees()), "a row is left unfinished"
 
 
-def test_determinism():
-    rng1, rng2 = random.Random(5), random.Random(5)
-    for _ in range(20):
-        P1 = rand_proper_pair(rng1, 3, 3, 8)
-        P2 = rand_proper_pair(rng2, 3, 3, 8)
-        assert P1 == P2
-        g1, t1 = construct_witness(P1, symw_oracle())
-        g2, t2 = construct_witness(P2, symw_oracle())
-        assert g1 == g2 and t1 == t2
+def test_random_witnesses_and_invariants():
+    rng = random.Random(99)
+    dense = [rand_proper_pair(rng, 3, 3, 8) for _ in range(150)]
+    sparse = [_sparse_proper_pair(rng) for _ in range(150)]
+    # the dense pairs moved up: separators and stuck points leave the
+    # small naturals, while the images stay there
+    moved = [_shift(P, offset) for P, offset in
+             zip(dense, [2 ** 70] + [rng.randrange(10 ** 6)
+                                     for _ in range(29)])]
+    oracle = symw_oracle()
+    for P in dense + sparse + moved:
+        g, trace = construct_witness(P, oracle)
+        _check_witness(P, g, trace)
+        _replay_conditions(P, trace)
+        # a second build gives an equal trace, and equality compares the
+        # step entries
+        assert construct_witness(P, symw_oracle()) == (g, trace)
+        last = trace.steps[-1]
+        assert trace != dataclasses.replace(
+            trace, steps=trace.steps[:-1] + ({**last,
+                                               "image": last["image"] + 1},))
+        # the certificate survives a JSON round trip unchanged: no tuple
+        # anywhere in it, which no digest of the JSON text can see
+        cert = trace.to_json()
+        assert json.loads(json.dumps(cert)) == cert
+        assert all(sorted(s) == ["case", "image", "point", "row"]
+                   for s in cert["steps"])
 
 
-def test_traces_differing_in_one_step():
-    # equality compares the step entries
-    _, trace = construct_witness(COMMUTE_T01, symw_oracle())
-    other = dataclasses.replace(
-        trace, steps=(trace.steps[0], {**trace.steps[1], "image": 4}))
-    assert trace != other
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4),
+       degree=st.integers(1, 6), support=st.integers(0, 12),
+       sparse=st.booleans())
+def test_witness_membership_property(seed, rows, degree, support, sparse):
+    rng = random.Random(seed)
+    P = (_sparse_proper_pair(rng) if sparse
+         else rand_proper_pair(rng, rows, degree, support))
+    _check_witness(P, *construct_witness(P, symw_oracle()))
 
 
 def test_large_degree_traces_pinned():
@@ -406,12 +409,6 @@ def test_intersect_witness():
     assert membership(COMMUTE_T01, g, SYM)
     assert membership(P2, g, SYM)
     assert len(trace.steps) <= stack(COMMUTE_T01, P2).degree_sum()
-    rng = random.Random(42)
-    for _ in range(100):
-        Q1 = rand_proper_pair(rng, 3, 3, 8)
-        Q2 = rand_proper_pair(rng, 3, 3, 8)
-        g, _ = intersect_witness(Q1, Q2, symw_oracle())
-        assert membership(Q1, g, SYM) and membership(Q2, g, SYM)
 
 
 def test_trace_json():
