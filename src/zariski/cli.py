@@ -10,8 +10,8 @@ invocations produce identical reports; the JSON format carries a
 Exit codes: 0 all cases pass.  1 a case failed, the input set is empty,
 or the package raised another error.  2 malformed or unreadable input, a
 matrix pair whose rows x (rows + degree sum) is above 2^18, an
-out-of-range option, an empty ``separate`` range, an enumeration guard, or
-a report that cannot be written.
+out-of-range option, an unknown ``--group``, an empty ``separate`` range,
+an enumeration guard, or a report that cannot be written.
 """
 
 from __future__ import annotations

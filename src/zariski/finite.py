@@ -152,7 +152,7 @@ class SetFamily:
         return len(self.masks)
 
 
-def _word_vectors(M: np.ndarray, one: int, occurrences, d: int) -> np.ndarray:
+def _word_vectors(M, one: int, occurrences, d: int):
     """Value vectors of the words t of degree <= d whose leading and
     trailing coefficients are both ``one`` (the identity), one row per word
     and one column per value of x; every word of degree <= d is a*t*b for

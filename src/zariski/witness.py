@@ -99,33 +99,20 @@ def symw_oracle() -> SymOmegaOracle:
     return SymOmegaOracle()
 
 
-def _advance(row, p, v, xmap):
-    """Push one row's evaluation state forward while it is defined.
-
-    The state is the row's entries of ``ps`` and ``vs`` in
-    ``construct_witness``: c0 x c1 ... x cp takes the separator to v.  The
-    next coefficient applies once v lies in the domain of the partial map
-    x.  Returns the new (p, v), where the row is finished or stuck.
-    """
-    while p + 1 < len(row) and v in xmap:
-        p += 1
-        v = xmap[v]
-        v = row[p].get(v, v)
-    return p, v
-
-
 def construct_witness(P: MatrixPair, oracle) -> tuple:
     """Build an element of N_{A,B} together with its construction trace.
 
-    ``P`` must be a proper normal form.  Each of the 2k rows, the k A rows
-    (case alpha) and then the k B rows (case beta), keeps its evaluation
-    state at its separator from one step to the next.  The rows are
-    finished in that order: while the current row's evaluation is not yet
-    defined, its stuck point q receives a fresh image q' outside the
-    forbidden set, and only the rows stuck at q move on.  A finished row
-    stays finished, so the row each step works on is the first unfinished
-    one.  Each step pushes at least that row strictly forward, so the loop
-    ends after at most sum(d_A + d_B) steps.
+    ``P`` must be a proper normal form.  The rows are walked once each,
+    the k A rows (case alpha) and then the k B rows (case beta), each from
+    its separator: c0 x c1 ... x cd.  Where the partial map x is defined at
+    the current point v, the walk applies x and the next coefficient;
+    where it is not, v is stuck and first receives a fresh image outside
+    the forbidden set, which is one step.  A point gets an image only as
+    the stuck point of the row being walked, and an earlier row reads x
+    only where it was already defined, so a finished row stays finished.
+    Each pass of the walk moves past one coefficient and takes at most one
+    step, so a row of degree d takes at most d steps and the loop ends
+    after at most sum(d_A + d_B) steps.
     """
     NormalForm.proper(P)
     seps = pick_separators(P)
@@ -164,32 +151,24 @@ def construct_witness(P: MatrixPair, oracle) -> tuple:
 
     for s in seps:
         avoid(s)
-    # c0 x c1 ... x cp of row i, with p = ps[i], takes the row's separator
-    # seps[i % k] to vs[i]
-    ps = [0] * (2 * k)
-    vs = [row[0].get(m, m) for row, m in zip(rows, seps + seps)]
-    budget = P.degree_sum()
     xmap: dict = {}
     steps = []
     for i, row in enumerate(rows):
-        while ps[i] + 1 < len(row):
-            if len(steps) == budget:
-                raise OracleExhausted(
-                    f"{len(steps) + 1} steps exceed the step budget of "
-                    f"{budget}")
-            q = vs[i]
-            avoid(q)
-            q_img = oracle.choose_image(xmap, q, forbidden)
-            if q_img is None or q_img in forbidden:
-                raise OracleExhausted("oracle returned no admissible image")
-            xmap[q] = q_img
-            avoid(q_img)
-            # only the rows stuck at q move on
-            for j, v in enumerate(vs):
-                if v == q:
-                    ps[j], vs[j] = _advance(rows[j], ps[j], q, xmap)
-            steps.append({"case": "alpha" if i < k else "beta",
-                          "row": i % k, "point": q, "image": q_img})
+        m = seps[i % k]
+        v = row[0].get(m, m)
+        for c in row[1:]:
+            if v not in xmap:
+                avoid(v)
+                w = oracle.choose_image(xmap, v, forbidden)
+                if w is None or w in forbidden:
+                    raise OracleExhausted(
+                        "oracle returned no admissible image")
+                xmap[v] = w
+                avoid(w)
+                steps.append({"case": "alpha" if i < k else "beta",
+                              "row": i % k, "point": v, "image": w})
+            w = xmap[v]
+            v = c.get(w, w)
 
     g = oracle.complete(xmap)
     return g, WitnessTrace(separators=seps, forbidden_size=len(forbidden),

@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from zariski.errors import OracleExhausted
 from zariski.groups import SYM
-from zariski.perm import FinPermutation, IDENTITY, transposition
+from zariski.perm import FinPermutation, IDENTITY, extend, transposition
 from zariski.ragged import membership, normalize, pair_of_rows, stack
 from zariski.randgen import DEFAULT_ADJUSTER, rand_proper_pair
-from zariski import witness
 from zariski.witness import (SymOmegaOracle, construct_witness,
                              intersect_witness, pick_separators, symw_oracle)
 
@@ -162,26 +161,10 @@ class _RepeatImageOracle(SymOmegaOracle):
         return min(b.values(), default=super().choose_image(b, q, forbidden))
 
 
-class _BoundedOracle(SymOmegaOracle):
-    """Fails the test, rather than hanging it, after a few calls."""
-
-    calls = 0
-
-    def choose_image(self, b, q, forbidden):
-        self.calls += 1
-        assert self.calls <= 10, "the construction does not stop"
-        return super().choose_image(b, q, forbidden)
-
-
-def test_oracle_exhausted(monkeypatch):
+def test_oracle_exhausted():
     for oracle in (_BadOracle(), _NoImageOracle(), _RepeatImageOracle()):
         with pytest.raises(OracleExhausted):
             construct_witness(COMMUTE_T01, oracle)
-    # a stalled loop stops at the step budget instead of running forever
-    monkeypatch.setattr(witness, "_advance", lambda row, p, v, xmap: (p, v))
-    with pytest.raises(OracleExhausted,
-                       match="3 steps exceed the step budget of 2"):
-        construct_witness(COMMUTE_T01, _BoundedOracle())
 
 
 class _CountingView:
@@ -297,15 +280,28 @@ def _shift(P, offset):
     return pair_of_rows(rows[:P.num_rows], rows[P.num_rows:])
 
 
-def _check_witness(P, g, trace):
-    """Membership, the step bound and the forbidden-set recount; then the
-    defined prefixes, derived by replaying the steps, never decrease, and
-    the handled row strictly advances and is the first unfinished one, A
-    rows then B rows.  Membership alone rarely catches a wrong step: most
-    completions of a partial map lie in N_{A,B} anyway."""
+def _check_witness(P, g, trace, rng):
+    """Membership, the step bound and the forbidden-set recount; then ten
+    extensions y = extend(b)·σ of the step map b, σ a random permutation
+    of a window of points that fixes every image of b, each agree with b
+    and lie in N_{A,B}, since each row's evaluation reads x only where a
+    step defined it; then the defined prefixes, derived by replaying the
+    steps, never decrease, and the handled row strictly advances and is
+    the first unfinished one, A rows then B rows.  Membership alone rarely
+    catches a wrong step: most completions of a partial map lie in
+    N_{A,B} anyway."""
     assert membership(P, g, SYM)
     assert len(trace.steps) <= P.degree_sum()
     assert trace.forbidden_size == _recount_forbidden(P, trace)
+    b = {s["point"]: s["image"] for s in trace.steps}
+    window = sorted((set(range(12)) | set(trace.separators) | set(b)
+                     | {x for c in _entries(P) for x in c._map})
+                    - set(b.values()))
+    for _ in range(10):
+        sigma = FinPermutation(zip(window, rng.sample(window, len(window))))
+        y = extend(b) * sigma
+        assert all(y.apply(q) == image for q, image in b.items())
+        assert membership(P, y, SYM)
     prev_a = [0] * P.num_rows
     prev_b = [0] * P.num_rows
     for n, (s, (pre_a, pre_b)) in enumerate(
@@ -341,7 +337,7 @@ def test_random_witnesses_and_invariants():
     oracle = symw_oracle()
     for P in dense + sparse + moved:
         g, trace = construct_witness(P, oracle)
-        _check_witness(P, g, trace)
+        _check_witness(P, g, trace, rng)
         _replay_conditions(P, trace)
         # a second build gives an equal trace, and equality compares the
         # step entries
@@ -366,7 +362,7 @@ def test_witness_membership_property(seed, rows, degree, support, sparse):
     rng = random.Random(seed)
     P = (_sparse_proper_pair(rng) if sparse
          else rand_proper_pair(rng, rows, degree, support))
-    _check_witness(P, *construct_witness(P, symw_oracle()))
+    _check_witness(P, *construct_witness(P, symw_oracle()), rng)
 
 
 def test_large_degree_traces_pinned():
